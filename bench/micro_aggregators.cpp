@@ -42,7 +42,7 @@ void BM_TrimmedMean(benchmark::State& state) {
 }
 
 // The seed's gather + full-sort implementation: the before/after baseline
-// for the blocked-transpose + nth_element path above.
+// for the blocked-transpose streaming path above.
 void BM_TrimmedMeanReference(benchmark::State& state) {
   const auto models = make_models(std::size_t(state.range(0)),
                                   std::size_t(state.range(1)));

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Kernel/aggregator benchmark harness. Builds a Release tree, runs
 #   * bench/micro_gemm        — blocked GEMM GFLOP/s vs the seed ikj loop,
-#   * bench/micro_aggregators — trimmed-mean throughput (blocked nth_element
+#   * bench/micro_aggregators — trimmed-mean throughput (blocked streaming
 #                               path vs the sort-based reference),
 #   * bench/micro_training    — local SGD steps/s per model (the number the
 #                               tracing layer must not regress),

@@ -229,7 +229,7 @@ echo "== determinism gate (fenv rounding-mode sweep) =="
 # fenv rounding mode — FEDMS_ROUNDING_MODE pins the whole process pre-main,
 # --rounding-mode pins it per tool and is forwarded to forked node
 # processes. Only numeric RESULTS may differ between modes; every
-# differential oracle (streaming vs nth_element vs reference filter,
+# differential oracle (streaming vs reference filter,
 # sharded vs serial, sim vs processes) must agree bit-for-bit WITHIN one.
 for mode in nearest upward downward towardzero; do
   if ! FEDMS_ROUNDING_MODE="$mode" ctest --test-dir "$build" -L unit \
@@ -280,25 +280,27 @@ print(f"sweep bit-equality OK under upward ({len(files_a)} files)")
 PY
 
 echo "== configure + build (ASan + UBSan) =="
-cmake -B "$asan_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DFEDMS_SANITIZE=ON
-cmake --build "$asan_build" -j "$jobs" \
-  --target runtime_event_queue_test runtime_fault_test runtime_async_test \
-           transport_frame_test transport_inmem_test transport_socket_test \
-           eventloop_test eventloop_churn_test fl_wire_encoding_test \
-           tensor_gemm_test tensor_workspace_test \
-           fl_aggregator_properties_test fedms_node fedms_sweep fedms_matrix
-
-echo "== runtime + transport + kernel tests under ASan/UBSan =="
 # Death tests fork; ASan is fine with that but needs the default allocator
 # not to complain about the intentional aborts. The aggregator property
 # suite covers the whole defense zoo (adaptive estimation, fedgreed
-# selection, sharded pools) with every allocation checked.
-for t in runtime_event_queue_test runtime_fault_test runtime_async_test \
-         transport_frame_test transport_inmem_test transport_socket_test \
-         eventloop_test eventloop_churn_test fl_wire_encoding_test \
-         tensor_gemm_test tensor_workspace_test \
-         fl_aggregator_properties_test; do
+# selection, sharded pools) with every allocation checked; the runtime and
+# in-memory transport suites carry the engine-parity tests (Byzantine
+# clients and DP through every engine); the determinism suite covers the
+# trimmed-mean kernels under all rounding modes.
+asan_tests=(
+  runtime_event_queue_test runtime_fault_test runtime_async_test
+  transport_frame_test transport_inmem_test transport_socket_test
+  eventloop_test eventloop_churn_test fl_wire_encoding_test
+  tensor_gemm_test tensor_workspace_test
+  fl_aggregator_properties_test fl_determinism_test
+)
+cmake -B "$asan_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DFEDMS_SANITIZE=ON
+cmake --build "$asan_build" -j "$jobs" \
+  --target "${asan_tests[@]}" fedms_node fedms_sweep fedms_matrix
+
+echo "== runtime + transport + kernel tests under ASan/UBSan =="
+for t in "${asan_tests[@]}"; do
   "$asan_build/tests/$t"
 done
 

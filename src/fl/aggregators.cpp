@@ -36,7 +36,7 @@ void check_models(const std::vector<ModelVector>& models) {
 // NaN-aware comparison key: NaN sorts as +∞ so the trim removes it from
 // the high side (±∞ already order correctly and land in the tails).
 // −0.0 canonicalizes to +0.0: the two zeros compare equal, so which one a
-// selection routine leaves in a tail vs the kept window is tie-break
+// sort leaves in a tail vs the kept window is tie-break
 // dependent — and x + (−0.0) vs x + (+0.0) round differently under
 // FE_DOWNWARD (0.0 + (−0.0) = −0.0 there). After canonicalization every
 // pair of equal-comparing floats is bit-identical, so tie resolution can
@@ -85,7 +85,7 @@ inline void push_large(float* tail, std::size_t& count, std::size_t cap,
 // once per block. Sharded execution aligns shard boundaries to it.
 constexpr std::size_t kBlock = 64;
 // Largest trim the linear tail-tracking fast path handles; beyond it the
-// bounded insertions stop beating two nth_element partitions.
+// bounded insertions stop beating a sort of the gathered column.
 constexpr std::size_t kMaxFastTrim = 16;
 
 // Mean of coordinates [j0, j1) into out — the per-shard kernel.
@@ -102,10 +102,10 @@ void mean_range(const std::vector<ModelVector>& models, std::size_t j0,
 // ---- canonical per-column trimmed-mean arithmetic ----
 //
 // The determinism contract (ARCHITECTURE.md) requires the streaming fast
-// path, the selection fallback (trimmed_mean_selection), and the full-sort
-// oracle (trimmed_mean_reference) to agree BITWISE, per rounding mode, for
-// every input. That only holds if all three execute the same FP operations
-// in the same order, so the arithmetic is pinned to one case analysis over
+// path, its sorted-column fallback, and the full-sort oracle
+// (trimmed_mean_reference) to agree BITWISE, per rounding mode, for every
+// input. That only holds if all of them execute the same FP operations in
+// the same order, so the arithmetic is pinned to one case analysis over
 // the canonicalized column (sort_key applied — equal floats bit-identical,
 // so tail selection ties cannot change any sum):
 //
@@ -125,22 +125,18 @@ void mean_range(const std::vector<ModelVector>& models, std::size_t j0,
 // shape lands on identical bits.
 
 // Cases 2/3 over a gathered, canonicalized column. `total` must be the
-// model-order double sum of column[0..p); reorders column[]. Case 1 is
-// inlined at the call sites (no selection needed).
-float kept_window_mean(float* column, std::size_t p, std::size_t trim,
-                       double total, bool finite) {
+// model-order double sum of column[0..p); sorts column[]. Case 1 is
+// inlined at the call sites.
+float sorted_column_mean(float* column, std::size_t p, std::size_t trim,
+                         double total, bool finite) {
   const std::size_t kept = p - 2 * trim;
-  std::nth_element(column, column + trim, column + p);
-  std::nth_element(column + trim, column + (p - trim), column + p);
+  std::sort(column, column + p);
   if (finite && trim <= kMaxFastTrim) {
-    std::sort(column, column + trim);
-    std::sort(column + (p - trim), column + p);
     double tails = 0.0;
     for (std::size_t i = 0; i < trim; ++i)
       tails += double(column[i]) + double(column[p - trim + i]);
     return static_cast<float>((total - tails) / double(kept));
   }
-  std::sort(column + trim, column + (p - trim));
   double acc = 0.0;
   for (std::size_t i = trim; i < p - trim; ++i) acc += column[i];
   return static_cast<float>(acc / double(kept));
@@ -172,7 +168,7 @@ void trimmed_mean_range(const std::vector<ModelVector>& models,
       out[j] = static_cast<float>(total / double(kept));
       return;
     }
-    out[j] = kept_window_mean(column, p, trim, total, finite);
+    out[j] = sorted_column_mean(column, p, trim, total, finite);
   };
 
   if (trim == 0 || trim > kMaxFastTrim) {
@@ -188,7 +184,7 @@ void trimmed_mean_range(const std::vector<ModelVector>& models,
   // model-order total, ascending tails (bounded insertion keeps both tails
   // sorted), total − tails — so it lands on the same bits as select_mean.
   // Columns carrying ±∞/NaN — the Byzantine case — are redone with the
-  // selection path above (canonical case 3; ∞ − ∞ = NaN rules case 2
+  // sorted-column path above (canonical case 3; ∞ − ∞ = NaN rules case 2
   // out). All per-block state (totals + both tails) stays L1-resident.
   std::vector<double> totals(kBlock);
   std::vector<float> low(kBlock * trim), high(kBlock * trim);
@@ -378,9 +374,9 @@ ModelVector trimmed_mean_reference(const std::vector<ModelVector>& models,
   const std::size_t kept = p - 2 * trim;
 
   // Gather + full sort per column, then the canonical case analysis
-  // (total in model order BEFORE sorting; a fully sorted column is a valid
-  // input to both selection cases — nth_element on sorted data is a
-  // no-op, the tails/kept window are already ascending).
+  // (total in model order BEFORE sorting; the tails and the kept window
+  // of a sorted column are ascending). Written out independently of the
+  // streaming kernel's fallback so the two can check each other.
   ModelVector out(d);
   std::vector<float> column(p);
   for (std::size_t j = 0; j < d; ++j) {
@@ -407,34 +403,6 @@ ModelVector trimmed_mean_reference(const std::vector<ModelVector>& models,
     double acc = 0.0;
     for (std::size_t i = trim; i < p - trim; ++i) acc += column[i];
     out[j] = static_cast<float>(acc / double(kept));
-  }
-  return out;
-}
-
-ModelVector trimmed_mean_selection(const std::vector<ModelVector>& models,
-                                   std::size_t trim) {
-  check_models(models);
-  const std::size_t p = models.size();
-  FEDMS_EXPECTS(2 * trim < p);
-  const std::size_t d = models.front().size();
-  const std::size_t kept = p - 2 * trim;
-
-  ModelVector out(d);
-  std::vector<float> column(p);
-  for (std::size_t j = 0; j < d; ++j) {
-    double total = 0.0;
-    bool finite = true;
-    for (std::size_t i = 0; i < p; ++i) {
-      const float v = sort_key(models[i][j]);
-      column[i] = v;
-      finite &= bool(std::isfinite(v));
-      total += v;
-    }
-    if (trim == 0) {
-      out[j] = static_cast<float>(total / double(kept));
-      continue;
-    }
-    out[j] = kept_window_mean(column.data(), p, trim, total, finite);
   }
   return out;
 }

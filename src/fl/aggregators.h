@@ -114,15 +114,14 @@ std::size_t degraded_trim_count(std::size_t target, std::size_t received);
 // are contiguous. All-finite columns with a small trim take a linear pass
 // that tracks the trim smallest/largest values by bounded insertion and
 // derives the kept-window sum as total − tails; columns carrying ±∞/NaN
-// (or a large trim) use two-sided std::nth_element selection (O(P))
-// instead of a full sort (O(P log P)). Every client runs this filter every
-// round, so it is the client-side hot loop Fed-MS adds over FedAvg.
+// (or a large trim) sort the gathered column. Every client runs this
+// filter every round, so it is the client-side hot loop Fed-MS adds over
+// FedAvg.
 //
 // Determinism contract (ARCHITECTURE.md): the per-column arithmetic is
-// pinned to one canonical case analysis, so this function,
-// trimmed_mean_selection, and trimmed_mean_reference return BITWISE
-// identical vectors for every input, per rounding mode, for any thread
-// count or shard width.
+// pinned to one canonical case analysis, so this function and
+// trimmed_mean_reference return BITWISE identical vectors for every input,
+// per rounding mode, for any thread count or shard width.
 ModelVector trimmed_mean(const std::vector<ModelVector>& models, double beta);
 
 // Explicit-trim overload: discards exactly `trim` values per side. The
@@ -141,14 +140,6 @@ ModelVector trimmed_mean(const std::vector<ModelVector>& models,
 ModelVector trimmed_mean_reference(const std::vector<ModelVector>& models,
                                    double beta);
 ModelVector trimmed_mean_reference(const std::vector<ModelVector>& models,
-                                   std::size_t trim);
-
-// The two-sided nth_element selection path, forced for every column (the
-// fallback trimmed_mean takes for ±∞/NaN columns and large trims). Test
-// hook for the exhaustive small-P enumeration, which proves streaming ==
-// selection == reference bitwise over all sign/NaN/±∞/duplicate patterns.
-// Precondition: 2·trim < models.size().
-ModelVector trimmed_mean_selection(const std::vector<ModelVector>& models,
                                    std::size_t trim);
 
 // Per-coordinate median (lower of the two middles for even counts — the

@@ -11,6 +11,10 @@
 //      Def() filter (Fed-MS: trmean_β) over the P received models to get
 //      its next-round starting point.
 //
+// The client step is fl::ClientRound and the PSs come from fl::make_servers
+// (fl/client_round.h), shared with the event-driven and transport engines;
+// this loop only runs the stages in lockstep over a SimNetwork.
+//
 // Vanilla FedAvg without defense is the same loop with filter "mean"; the
 // single-PS classic is servers=1, byzantine=0.
 #pragma once
@@ -19,14 +23,12 @@
 #include <optional>
 #include <vector>
 
-#include "byz/client_attacks.h"
 #include "core/thread_pool.h"
 #include "fl/aggregators.h"
-#include "fl/compression.h"
+#include "fl/client_round.h"
 #include "fl/config.h"
 #include "fl/learner.h"
 #include "fl/server.h"
-#include "fl/upload.h"
 #include "fl/wire_encoding.h"
 #include "net/latency.h"
 #include "net/sim_network.h"
@@ -61,6 +63,16 @@ struct RunResult {
   const RoundRecord& final_eval() const;
 };
 
+// True when `round` is an evaluation round: every eval_every rounds and
+// the last one.
+bool is_eval_round(const FedMsConfig& config, std::uint64_t round);
+
+// Stores in `record` the mean test loss and accuracy over the first
+// eval_clients learners (all of them when 0), in ascending client order.
+void evaluate_clients(const FedMsConfig& config,
+                      const std::vector<LearnerPtr>& learners,
+                      RoundRecord& record);
+
 class FedMsRun {
  public:
   // `learners` are the K clients (learners.size() must equal
@@ -89,35 +101,24 @@ class FedMsRun {
   // The client-side Def() built from config.client_filter. Mutable before
   // run() so the experiment layer can install the fedgreed root scorer
   // (fl::install_fedgreed_scorer).
-  Aggregator& client_filter() { return *filter_; }
+  Aggregator& client_filter() { return *rules_.filter; }
 
  private:
   void execute_round(std::uint64_t round, RunResult& result);
 
   FedMsConfig config_;
   std::vector<LearnerPtr> learners_;
+  ClientRules rules_;
+  std::vector<ClientRound> clients_;
   std::vector<ParameterServer> servers_;
-  AggregatorPtr filter_;
-  UploadStrategyPtr upload_;
   net::SimNetwork network_;
   net::LatencyModel latency_;
-  std::vector<core::Rng> client_rngs_;  // PS-selection streams
-  // Byzantine-client extension state.
-  std::vector<bool> client_is_byzantine_;
-  byz::ClientAttackPtr client_attack_;
-  std::vector<core::Rng> client_attack_rngs_;
   core::Rng participation_rng_;
   std::vector<double> last_losses_;  // per-client, for highloss selection
-  PayloadCodecPtr upload_codec_;  // nullptr -> uncompressed
-  // Negotiated wire encoding (config.wire_encoding != "f32"): one stream
-  // per directed link, mirroring the transport engine's channel keying —
-  // upload channel (k→p) lives in wire_uplinks_[k] keyed by the PS id,
-  // broadcast channel (p→k) in wire_downlinks_[p] keyed by the client id.
-  WireEncodingSpec wire_spec_;
-  std::vector<WireChannelBook> wire_uplinks_;    // per client
-  std::vector<WireChannelBook> wire_downlinks_;  // per server
-  std::vector<core::Rng> dp_rngs_;  // per-client DP noise streams
-  core::ThreadPool pool_;           // local-training fan-out
+  // Broadcast wire streams (config.wire_encoding != "f32"), one book per
+  // server keyed by the client id — the transport engine's keying.
+  std::vector<WireChannelBook> wire_downlinks_;
+  core::ThreadPool pool_;  // local-training fan-out
   RoundCallback callback_;
 };
 

@@ -1,7 +1,6 @@
 #include "fl/wire_encoding.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -11,6 +10,7 @@
 #include <stdexcept>
 
 #include "core/contracts.h"
+#include "core/crc32c.h"
 
 namespace fedms::fl {
 
@@ -24,28 +24,8 @@ namespace {
 constexpr std::size_t kStatefulHeaderBytes = 5;
 constexpr std::uint8_t kFlagKeyframe = 0x01;
 
-// CRC32C (Castagnoli), reflected — same polynomial as the frame trailer,
-// reimplemented here because fl sits below transport in the layer map.
-std::uint32_t crc32c_bytes(const std::uint8_t* data, std::size_t size) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit)
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0x82f63b78u : 0u);
-      t[i] = crc;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i)
-    crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xffu];
-  return crc ^ 0xffffffffu;
-}
-
 std::uint32_t reference_crc(const std::vector<float>& reference) {
-  return crc32c_bytes(reinterpret_cast<const std::uint8_t*>(reference.data()),
-                      reference.size() * sizeof(float));
+  return core::crc32c(reference.data(), reference.size() * sizeof(float));
 }
 
 void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
@@ -355,6 +335,16 @@ WireChannel& WireChannelBook::channel(const net::NodeId& remote,
   const auto it = channels_.find(remote);
   if (it != channels_.end()) return it->second;
   return channels_.emplace(remote, WireChannel(spec)).first->second;
+}
+
+void wire_encode_message(net::Message& message,
+                         const std::vector<float>& values,
+                         WireChannel& channel, bool keep_bytes) {
+  WireEncodeResult wire = channel.encode(values);
+  message.payload = std::move(wire.decoded);
+  message.encoded_bytes = wire.bytes.size();
+  message.wire_format = channel.spec().format_tag();
+  if (keep_bytes) message.encoded = std::move(wire.bytes);
 }
 
 void finish_wire_payload(net::Message& message, WireChannelBook& book) {

@@ -144,6 +144,15 @@ class WireChannelBook {
   std::map<net::NodeId, WireChannel> channels_;
 };
 
+// Encodes `values` on `channel` and stamps `message` with what the
+// receiver decodes: the round-tripped payload, the frame's encoded size and
+// format tag, and — when `keep_bytes` — the bytes themselves (a real
+// transport ships them; simulators only bill their size). `values` may be
+// message.payload itself.
+void wire_encode_message(net::Message& message,
+                         const std::vector<float>& values,
+                         WireChannel& channel, bool keep_bytes);
+
 // Decodes a transport message whose stateful payload was left undecoded
 // by the frame codec (payload empty, encoded bytes present): runs the
 // bytes through `book`'s channel for the sender and materializes

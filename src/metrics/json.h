@@ -9,6 +9,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "core/json_min.h"
 #include "fl/fedms.h"
 
 namespace fedms::metrics {
@@ -20,6 +21,6 @@ void save_run_json(const std::string& path, const fl::FedMsConfig& config,
                    const fl::RunResult& result);
 
 // JSON string escaping (quotes, backslash, control characters).
-std::string json_escape(const std::string& text);
+using core::json_escape;
 
 }  // namespace fedms::metrics

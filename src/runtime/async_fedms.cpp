@@ -1,12 +1,10 @@
 #include "runtime/async_fedms.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <utility>
 
-#include "byz/attack.h"
 #include "core/contracts.h"
 #include "fl/experiment.h"
 #include "net/message.h"
@@ -52,20 +50,16 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
     : config_(std::move(config)),
       options_(std::move(options)),
       learners_(std::move(learners)),
-      seeds_(config_.seed) {
-  config_.validate();
+      seeds_(config_.seed),
+      rules_(config_, /*keep_wire_bytes=*/false) {
   options_.validate();
   FEDMS_EXPECTS(learners_.size() == config_.clients);
   for (const auto& learner : learners_) FEDMS_EXPECTS(learner != nullptr);
-  // Extensions the event-driven runtime does not model (yet): use the
-  // synchronous FedMsRun for these. worker_threads is ignored — handlers
-  // run inline in deterministic event order.
-  FEDMS_EXPECTS(config_.byzantine_clients == 0);
-  FEDMS_EXPECTS(config_.dp_clip_norm == 0.0);
+  // worker_threads is ignored — handlers run inline in deterministic event
+  // order. Churn, not a participation draw, sets who trains each round.
   FEDMS_EXPECTS(config_.participation == 1.0);
-  // Wire encodings would need per-link channel state threaded through the
-  // event queue's retry/crash paths; CLI layers reject the combination
-  // with a friendlier one-liner before this fires.
+  // In-flight drops and retries would desync stateful wire streams; the
+  // CLI layers reject the combination with a one-liner before this fires.
   FEDMS_EXPECTS(config_.wire_encoding == "f32");
   // Uniform network loss is expressed as FaultPlan::drop_rate here.
   FEDMS_EXPECTS(config_.network_loss_rate == 0.0);
@@ -90,45 +84,17 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
       FEDMS_EXPECTS(
           options_.faults.active_client_count(config_.clients, r) > 0);
 
-  const core::SeedSequence& seeds = seeds_;
-
-  // Byzantine-PS placement: identical derivation to the synchronous loop,
-  // so the same seed puts the same PSs under attack in both runtimes.
-  std::vector<bool> is_byzantine(config_.servers, false);
-  if (config_.byzantine_placement == "first") {
-    for (std::size_t i = 0; i < config_.byzantine; ++i) is_byzantine[i] = true;
-  } else {
-    core::Rng placement_rng = seeds.make_rng("byz-placement");
-    for (const std::size_t i : placement_rng.sample_without_replacement(
-             config_.servers, config_.byzantine))
-      is_byzantine[i] = true;
-  }
-  servers_.reserve(config_.servers);
-  for (std::size_t i = 0; i < config_.servers; ++i) {
-    byz::AttackPtr attack;
-    if (is_byzantine[i]) attack = byz::make_attack(config_.attack);
-    servers_.emplace_back(i, std::move(attack), seeds.make_rng("attack", i));
-  }
-  if (config_.server_aggregator != "mean") {
-    std::shared_ptr<const fl::Aggregator> rule(
-        fl::make_aggregator(config_.server_aggregator));
-    for (auto& server : servers_) server.set_aggregator(rule);
-  }
-
-  filter_ = fl::make_aggregator(config_.client_filter);
   quorum_ = options_.quorum(config_.byzantine, config_.client_filter);
-  upload_ = fl::make_upload_strategy(config_.upload);
-  if (config_.upload_compression != "none")
-    upload_codec_ = fl::make_codec(config_.upload_compression);
-  faults_ = FaultInjector(options_.faults, seeds.make_rng("fault-injector"));
+  faults_ = FaultInjector(options_.faults, seeds_.make_rng("fault-injector"));
 
-  client_rngs_.reserve(config_.clients);
-  for (std::size_t k = 0; k < config_.clients; ++k)
-    client_rngs_.push_back(seeds.make_rng("ps-choice", k));
-
+  // Byzantine-PS placement and streams are those of the synchronous loop,
+  // so the same seed puts the same PSs under attack in both runtimes.
   const std::vector<float> w0 = learners_.front()->parameters();
   FEDMS_EXPECTS(w0.size() == learners_.front()->dimension());
-  for (auto& server : servers_) server.set_initial_model(w0);
+  servers_ = fl::make_servers(config_, w0);
+  client_rounds_.reserve(config_.clients);
+  for (std::size_t k = 0; k < config_.clients; ++k)
+    client_rounds_.emplace_back(rules_, k, *learners_[k]);
   clients_.resize(config_.clients);
   for (ClientState& client : clients_) client.last_feasible = w0;
   round_losses_.assign(config_.clients, 0.0);
@@ -203,7 +169,7 @@ void AsyncFedMsRun::client_filter_deadline(std::size_t k,
                                            std::uint64_t round) {
   ClientState& client = clients_[k];
   if (client.done) return;
-  const std::size_t received = client.candidates.size();
+  const std::size_t received = client_rounds_[k].candidate_count();
   if (received >= quorum_ || client.retries_used >= options_.max_retries) {
     finish_client(k, round);
     return;
@@ -212,7 +178,7 @@ void AsyncFedMsRun::client_filter_deadline(std::size_t k,
   // models, back off, and recheck.
   trace_node(round, "retry", net::client_id(k));
   for (std::size_t s = 0; s < config_.servers; ++s) {
-    if (client.candidates.count(s)) continue;
+    if (client_rounds_[k].has_candidate(s)) continue;
     net::Message request;
     request.from = net::client_id(k);
     request.to = net::server_id(s);
@@ -225,13 +191,8 @@ void AsyncFedMsRun::client_filter_deadline(std::size_t k,
         trace_node(round, "retry-unanswered", net::server_id(s));
         return;
       }
-      net::Message response;
-      response.from = net::server_id(s);
-      response.to = net::client_id(k);
-      response.kind = net::MessageKind::kModelBroadcast;
-      response.round = round;
       // Byzantine PSs tamper retries too (fresh attack randomness).
-      response.payload = servers_[s].disseminate(round, k);
+      net::Message response = fl::make_broadcast(servers_[s], round, k);
       if (response.payload.empty()) return;  // crash-attack PS stays silent
       send(std::move(response), round, [this, round, k, s](net::Message m) {
         ClientState& c = clients_[k];
@@ -239,7 +200,7 @@ void AsyncFedMsRun::client_filter_deadline(std::size_t k,
           ++record_->messages_late;
           return;
         }
-        if (!c.candidates.emplace(s, std::move(m.payload)).second)
+        if (!client_rounds_[k].receive(std::move(m)))
           ++record_->messages_duplicated;
       });
     });
@@ -256,26 +217,18 @@ void AsyncFedMsRun::finish_client(std::size_t k, std::uint64_t round) {
   ClientState& client = clients_[k];
   obs::Span span("async", "filter", round, "client",
                  static_cast<std::int64_t>(k));
-  const std::size_t received = client.candidates.size();
+  const std::size_t received = client_rounds_[k].candidate_count();
   if (received >= quorum_) {
     // Degraded-quorum filter: the trim count is re-derived from the
     // integer B over the P' candidates at hand — min(B, ⌊(P'−1)/2⌋),
-    // never fewer than B while P' > 2B. Map order fixes the input order.
-    std::vector<std::size_t> origins;
-    std::vector<fl::ModelVector> models;
-    origins.reserve(received);
-    models.reserve(received);
-    for (auto& [server, model] : client.candidates) {
-      origins.push_back(server);
-      models.push_back(std::move(model));
-    }
-    std::size_t trim = fl::kNoTrim;
-    fl::ModelVector filtered = fl::apply_client_filter(
-        *filter_, models, config_.servers, config_.byzantine, &trim);
-    if (filter_hook_)
-      filter_hook_(FilterEvent{round, k, origins, models, trim, filtered});
-    learners_[k]->set_parameters(filtered);
-    client.last_feasible = filtered;
+    // never fewer than B while P' > 2B.
+    client_rounds_[k].filter([&](const std::vector<std::size_t>& servers,
+                                 const std::vector<fl::ModelVector>& models,
+                                 std::size_t trim, fl::ModelVector& filtered) {
+      if (filter_hook_)
+        filter_hook_(FilterEvent{round, k, servers, models, trim, filtered});
+      client.last_feasible = filtered;
+    });
     trace_node(round, "filter", net::client_id(k));
   } else {
     // P' <= 2B (or below the configured quorum): the trimmed mean can no
@@ -304,10 +257,10 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
   const net::TrafficStats down_before = downlink_;
 
   // Reset per-round state (last_feasible persists across rounds).
-  for (ClientState& client : clients_) {
-    client.candidates.clear();
-    client.retries_used = 0;
-    client.done = false;
+  for (std::size_t k = 0; k < config_.clients; ++k) {
+    client_rounds_[k].clear_candidates();
+    clients_[k].retries_used = 0;
+    clients_[k].done = false;
   }
   server_states_.assign(config_.servers, ServerState{});
   for (std::size_t s = 0; s < config_.servers; ++s) {
@@ -349,7 +302,7 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
     const core::SeedSequence round_seeds(
         seeds_.derive("round-streams", round));
     for (std::size_t k = 0; k < config_.clients; ++k)
-      client_rngs_[k] = round_seeds.make_rng("ps-choice", k);
+      client_rounds_[k].set_ps_choice(round_seeds.make_rng("ps-choice", k));
   }
   if (round_start_hook_) round_start_hook_(round);
   clients_done_ = 0;
@@ -370,32 +323,15 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
       {
         obs::Span span("async", "local_training", round, "client",
                        static_cast<std::int64_t>(k));
-        round_losses_[k] =
-            learners_[k]->local_training(config_.local_iterations);
+        round_losses_[k] = client_rounds_[k].train();
       }
       trace_node(round, "trained", net::client_id(k));
       obs::Span upload_span("async", "upload", round, "client",
                             static_cast<std::int64_t>(k));
-      std::vector<float> payload = learners_[k]->parameters();
-      std::size_t encoded_bytes = 0;
-      if (upload_codec_) {
-        const std::vector<std::uint8_t> encoded =
-            upload_codec_->encode(payload);
-        encoded_bytes = encoded.size();
-        payload = upload_codec_->decode(encoded);
-      }
-      const auto targets = upload_->select_servers(
-          k, round, config_.servers, client_rngs_[k]);
-      FEDMS_ASSERT(!targets.empty());
-      for (std::size_t i = 0; i < targets.size(); ++i) {
-        const std::size_t s = targets[i];
-        net::Message m;
-        m.from = net::client_id(k);
-        m.to = net::server_id(s);
-        m.kind = net::MessageKind::kModelUpload;
-        m.round = round;
-        m.payload = (i + 1 == targets.size()) ? std::move(payload) : payload;
-        m.encoded_bytes = encoded_bytes;
+      outbox_.clear();
+      client_rounds_[k].upload(round, outbox_);
+      for (net::Message& m : outbox_) {
+        const std::size_t s = m.to.index;
         send(std::move(m), round, [this, round, k, s](net::Message msg) {
           ServerState& state = server_states_[s];
           if (state.crashed) return;  // wasted upload
@@ -440,12 +376,7 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
                      static_cast<std::int64_t>(s));
       for (std::size_t k = 0; k < config_.clients; ++k) {
         if (!client_active_[k]) continue;  // absent clients get nothing
-        net::Message m;
-        m.from = net::server_id(s);
-        m.to = net::client_id(k);
-        m.kind = net::MessageKind::kModelBroadcast;
-        m.round = round;
-        m.payload = servers_[s].disseminate(round, k);
+        net::Message m = fl::make_broadcast(servers_[s], round, k);
         if (m.payload.empty()) continue;  // crash-attack PS stays silent
         send(std::move(m), round, [this, round, k, s](net::Message msg) {
           ClientState& client = clients_[k];
@@ -455,7 +386,7 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
                   net::client_id(k));
             return;
           }
-          if (!client.candidates.emplace(s, std::move(msg.payload)).second)
+          if (!client_rounds_[k].receive(std::move(msg)))
             ++record_->messages_duplicated;
         });
       }
@@ -474,21 +405,8 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
   record.mean_candidates /= double(active_count_);
   record.base.upload_seconds = t_aggregate - t0;
   record.base.broadcast_seconds = record.end_seconds - t_aggregate;
-  if ((round + 1) % config_.eval_every == 0 ||
-      round + 1 == config_.rounds) {
-    const std::size_t eval_count =
-        config_.eval_clients == 0
-            ? learners_.size()
-            : std::min(config_.eval_clients, learners_.size());
-    double acc_sum = 0.0, eval_loss_sum = 0.0;
-    for (std::size_t k = 0; k < eval_count; ++k) {
-      const fl::LearnerEval eval = learners_[k]->evaluate();
-      acc_sum += eval.accuracy;
-      eval_loss_sum += eval.loss;
-    }
-    record.base.eval_accuracy = acc_sum / double(eval_count);
-    record.base.eval_loss = eval_loss_sum / double(eval_count);
-  }
+  if (fl::is_eval_round(config_, round))
+    fl::evaluate_clients(config_, learners_, record.base);
   record.base.uplink_bytes = uplink_.bytes - up_before.bytes;
   record.base.downlink_bytes = downlink_.bytes - down_before.bytes;
   record.base.uplink_messages = uplink_.messages - up_before.messages;

@@ -27,9 +27,11 @@
 // a given (seed, fault plan) replays bit-identically — the event-trace
 // hash in the result is the regression handle for that property.
 //
-// Unsupported extensions (sync-loop only, rejected at construction):
-// Byzantine clients, differential privacy, partial participation, and
-// `network_loss_rate` (subsumed by FaultPlan::drop_rate).
+// The client step (training, upload pipeline, candidate bookkeeping,
+// Def()) is fl::ClientRound, shared with the other engines; this runtime
+// only schedules it. Rejected at construction: partial participation and
+// wire encodings (in-flight drops and retries would desync the stateful
+// streams), and `network_loss_rate` (subsumed by FaultPlan::drop_rate).
 #pragma once
 
 #include <cstdint>
@@ -133,6 +135,9 @@ class AsyncFedMsRun {
  public:
   AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
                 std::vector<fl::LearnerPtr> learners);
+  // Client steps point into the run; scheduled events capture `this`.
+  AsyncFedMsRun(const AsyncFedMsRun&) = delete;
+  AsyncFedMsRun& operator=(const AsyncFedMsRun&) = delete;
 
   // Mutable before run(): heterogeneous per-node links.
   net::LatencyModel& latency_model() { return latency_; }
@@ -168,13 +173,12 @@ class AsyncFedMsRun {
   // The client-side Def() built from config.client_filter. Mutable before
   // run() so scenario drivers can install the fedgreed root scorer
   // (fl::install_fedgreed_scorer).
-  fl::Aggregator& client_filter() { return *filter_; }
+  fl::Aggregator& client_filter() { return *rules_.filter; }
 
  private:
+  // Per-round scheduling state next to the client's fl::ClientRound,
+  // which holds the candidates received this round.
   struct ClientState {
-    // Candidates received this round, keyed by PS index (duplicates
-    // deduplicate here; map order fixes the filter's input order).
-    std::map<std::size_t, fl::ModelVector> candidates;
     std::size_t retries_used = 0;
     bool done = false;
     std::vector<float> last_feasible;  // w0 until a filter succeeds
@@ -201,11 +205,11 @@ class AsyncFedMsRun {
   RuntimeOptions options_;
   std::vector<fl::LearnerPtr> learners_;
   core::SeedSequence seeds_;  // root for round-keyed stream derivation
+  fl::ClientRules rules_;
+  std::vector<fl::ClientRound> client_rounds_;
+  std::vector<net::Message> outbox_;  // one client's uploads, reused
   std::vector<fl::ParameterServer> servers_;
-  fl::AggregatorPtr filter_;
   std::size_t quorum_ = 1;
-  fl::UploadStrategyPtr upload_;
-  fl::PayloadCodecPtr upload_codec_;  // nullptr -> uncompressed
   net::LatencyModel latency_;
   EventQueue queue_;
   FaultInjector faults_;
@@ -213,7 +217,6 @@ class AsyncFedMsRun {
   FilterHook filter_hook_;
   RoundCallback round_callback_;
   RoundStartHook round_start_hook_;
-  std::vector<core::Rng> client_rngs_;  // PS-selection streams
 
   // Crash/recovery handoff: the state a PS held when it went down, put
   // back verbatim when a ServerRecovery brings it up again.

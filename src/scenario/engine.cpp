@@ -7,11 +7,11 @@
 
 #include "byz/attack.h"
 #include "core/contracts.h"
+#include "core/json_min.h"
 #include "core/rng.h"
 #include "data/partition.h"
 #include "fl/nn_learner.h"
 #include "runtime/telemetry.h"
-#include "testing/json_min.h"
 
 namespace fedms::scenario {
 
@@ -86,8 +86,8 @@ std::string ScenarioOutcome::to_json() const {
   std::snprintf(hash_hex, sizeof hash_hex, "0x%llx",
                 static_cast<unsigned long long>(result.trace_hash));
   std::ostringstream os;
-  os << "{\n  \"scenario\": \"" << testing::json_escape(name) << "\",\n"
-     << "  \"defense\": \"" << testing::json_escape(defense) << "\",\n"
+  os << "{\n  \"scenario\": \"" << core::json_escape(name) << "\",\n"
+     << "  \"defense\": \"" << core::json_escape(defense) << "\",\n"
      << "  \"seed\": \"" << seed_hex << "\",\n"
      << "  \"trace_hash\": \"" << hash_hex << "\",\n"
      << "  \"run\": " << run_json.str() << "\n}\n";

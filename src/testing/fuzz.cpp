@@ -9,19 +9,23 @@
 #include <vector>
 
 #include "byz/attack.h"
+#include "core/json_min.h"
 #include "core/rounding.h"
 #include "data/convex.h"
+#include "fl/client_round.h"
 #include "fl/experiment.h"
 #include "fl/fedms.h"
 #include "fl/quadratic_learner.h"
 #include "obs/obs.h"
 #include "runtime/async_fedms.h"
-#include "testing/json_min.h"
 #include "transport/frame.h"
 #include "transport/node_runner.h"
 #include "transport/transport.h"
 
 namespace fedms::testing {
+
+using core::Json;
+using core::json_escape;
 
 namespace {
 
@@ -71,21 +75,6 @@ std::vector<fl::LearnerPtr> make_learners(
   return learners;
 }
 
-// Replays the run's Byzantine PS placement (fl::FedMsRun's derivation).
-std::vector<bool> byzantine_mask(const fl::FedMsConfig& fed) {
-  std::vector<bool> mask(fed.servers, false);
-  if (fed.byzantine_placement == "first") {
-    for (std::size_t i = 0; i < fed.byzantine; ++i) mask[i] = true;
-  } else {
-    const core::SeedSequence seeds(fed.seed);
-    core::Rng rng = seeds.make_rng("byz-placement");
-    for (const std::size_t i :
-         rng.sample_without_replacement(fed.servers, fed.byzantine))
-      mask[i] = true;
-  }
-  return mask;
-}
-
 // Per-run filter observer: applies the optional under-trim plant, checks
 // the envelope/finiteness oracle, and samples candidate models for the
 // wire oracle.
@@ -104,7 +93,7 @@ struct FilterObserver {
   std::vector<fl::ModelVector> wire_sample;
 
   FilterObserver(const FuzzSchedule& schedule, const FuzzOptions& options)
-      : is_byzantine(byzantine_mask(schedule.fed_config())),
+      : is_byzantine(fl::byzantine_servers(schedule.fed_config())),
         attack_nonfinite(byz::attack_traits(schedule.attack).nonfinite),
         inject(options.inject_under_trim),
         inject_drift(options.inject_mode_drift),
@@ -338,60 +327,13 @@ FuzzOutcome run_transport(const FuzzSchedule& schedule) {
   workload.model = "mlp";
   workload.mlp_hidden = {8};
 
-  std::vector<std::uint32_t> sync_crcs;
-  fl::Experiment experiment = fl::make_experiment(workload, fed);
-  experiment.run->set_round_callback(
-      [&](std::uint64_t round, const std::vector<fl::LearnerPtr>& learners) {
-        if (round + 1 != fed.rounds) return;
-        for (const auto& learner : learners)
-          sync_crcs.push_back(transport::crc32c_floats(learner->parameters()));
-      });
-  const fl::RunResult sync_result = experiment.run->run();
-
   transport::InMemoryHub hub(fed.upload_compression);
   hub.set_deterministic(true);
-  const transport::TransportRunSummary summary =
-      transport::run_transport_experiment(workload, fed, hub);
-
+  const std::vector<std::string> diffs = transport::diff_against_simulator(
+      workload, fed, transport::run_transport_experiment(workload, fed, hub));
   FuzzOutcome outcome;
-  const fl::RoundRecord& final_eval = sync_result.final_eval();
-  if (!bits_equal(summary.mean_accuracy(), *final_eval.eval_accuracy) ||
-      !bits_equal(summary.mean_eval_loss(), *final_eval.eval_loss)) {
-    outcome.violation = OracleViolation{
-        "transport",
-        format("final eval diverges: accuracy %.17g vs %.17g",
-               summary.mean_accuracy(), *final_eval.eval_accuracy)};
-    return outcome;
-  }
-  for (std::size_t k = 0; k < summary.clients.size(); ++k) {
-    if (summary.clients[k].model_crc != sync_crcs[k]) {
-      outcome.violation = OracleViolation{
-          "transport", format("client %zu final model CRC mismatch "
-                              "(%08x vs %08x)",
-                              k, summary.clients[k].model_crc,
-                              sync_crcs[k])};
-      return outcome;
-    }
-  }
-  const auto totals = summary.data_totals();
-  if (totals.uplink_messages != sync_result.uplink_total.messages ||
-      totals.uplink_bytes != sync_result.uplink_total.bytes ||
-      totals.downlink_messages != sync_result.downlink_total.messages ||
-      totals.downlink_bytes != sync_result.downlink_total.bytes ||
-      summary.corrupt_frames() != 0) {
-    outcome.violation = OracleViolation{
-        "transport",
-        format("data-byte accounting diverges (up %llu/%llu vs "
-               "%llu/%llu, corrupt %llu)",
-               static_cast<unsigned long long>(totals.uplink_bytes),
-               static_cast<unsigned long long>(totals.uplink_messages),
-               static_cast<unsigned long long>(
-                   sync_result.uplink_total.bytes),
-               static_cast<unsigned long long>(
-                   sync_result.uplink_total.messages),
-               static_cast<unsigned long long>(summary.corrupt_frames()))};
-    return outcome;
-  }
+  if (!diffs.empty())
+    outcome.violation = OracleViolation{"transport", diffs.front()};
   return outcome;
 }
 

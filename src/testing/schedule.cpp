@@ -7,11 +7,15 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/json_min.h"
 #include "core/rng.h"
 #include "core/rounding.h"
-#include "testing/json_min.h"
 
 namespace fedms::testing {
+
+using core::Json;
+using core::json_double;
+using core::json_escape;
 
 namespace {
 

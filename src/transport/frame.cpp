@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "core/contracts.h"
+#include "core/crc32c.h"
 #include "fl/wire_encoding.h"
 
 namespace fedms::transport {
@@ -55,23 +56,6 @@ std::uint64_t get_u64(const std::uint8_t* in) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= std::uint64_t(in[i]) << (8 * i);
   return v;
-}
-
-struct Crc32cTable {
-  std::uint32_t entries[256];
-  Crc32cTable() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit)
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
-      entries[i] = crc;
-    }
-  }
-};
-
-const Crc32cTable& crc_table() {
-  static const Crc32cTable table;
-  return table;
 }
 
 PayloadFormat format_for_codec(const std::string& name) {
@@ -133,11 +117,7 @@ const char* to_string(FrameError error) {
 
 std::uint32_t crc32c(const std::uint8_t* data, std::size_t size,
                      std::uint32_t seed) {
-  const Crc32cTable& table = crc_table();
-  std::uint32_t crc = ~seed;
-  for (std::size_t i = 0; i < size; ++i)
-    crc = (crc >> 8) ^ table.entries[(crc ^ data[i]) & 0xFFu];
-  return ~crc;
+  return core::crc32c(data, size, seed);
 }
 
 std::uint32_t crc32c_floats(const std::vector<float>& values) {

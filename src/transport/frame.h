@@ -88,8 +88,8 @@ enum class FrameError {
 
 const char* to_string(FrameError error);
 
-// CRC32C (Castagnoli), reflected polynomial 0x82F63B78 — the checksum used
-// by the frame trailer. `seed` allows incremental computation.
+// The frame trailer's checksum: core::crc32c over bytes. `seed` allows
+// incremental computation.
 std::uint32_t crc32c(const std::uint8_t* data, std::size_t size,
                      std::uint32_t seed = 0);
 // Convenience: CRC32C over a float vector's byte representation (used to

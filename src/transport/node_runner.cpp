@@ -11,13 +11,9 @@
 #include <thread>
 #include <utility>
 
-#include "byz/attack.h"
 #include "core/contracts.h"
 #include "core/rng.h"
-#include "fl/aggregators.h"
-#include "fl/compression.h"
-#include "fl/server.h"
-#include "fl/upload.h"
+#include "fl/client_round.h"
 #include "fl/wire_encoding.h"
 #include "obs/obs.h"
 #include "transport/frame.h"
@@ -51,18 +47,49 @@ void write_links(std::ostringstream& out, const char* tag,
         << link.corrupt_frames << '\n';
 }
 
-}  // namespace
-
-bool client_participates(const fl::FedMsConfig& fed, core::Rng& rng,
-                         std::size_t k) {
-  const std::size_t active = std::max<std::size_t>(
-      1, static_cast<std::size_t>(fed.participation * double(fed.clients) +
-                                  0.5));
-  for (const std::size_t drawn :
-       rng.sample_without_replacement(fed.clients, active))
-    if (drawn == k) return true;
-  return false;
+// Tells all `peers` servers (or clients) that this node's round-`round`
+// messages are sent.
+void send_round_syncs(Transport& transport, std::size_t peers,
+                      bool to_servers, std::uint64_t round) {
+  for (std::size_t i = 0; i < peers; ++i) {
+    net::Message sync;
+    sync.from = transport.self();
+    sync.to = to_servers ? net::server_id(i) : net::client_id(i);
+    sync.kind = net::MessageKind::kRoundSync;
+    sync.round = round;
+    transport.send(std::move(sync));
+  }
 }
+
+// Receives until all `peers` round-synced, handing every `kind` frame to
+// `on_data`. A timeout, a frame of another round or of another kind is a
+// protocol error.
+template <typename OnData>
+void collect_round(Transport& transport, std::uint64_t round,
+                   std::size_t peers, net::MessageKind kind,
+                   double timeout_seconds, OnData on_data) {
+  const net::NodeId self = transport.self();
+  std::size_t syncs = 0;
+  while (syncs < peers) {
+    auto m = transport.receive(timeout_seconds);
+    if (!m.has_value())
+      protocol_error(self, "timeout waiting for round " +
+                               std::to_string(round) + " " +
+                               net::to_string(kind) + " frames");
+    if (m->round != round)
+      protocol_error(self, "message from round " + std::to_string(m->round) +
+                               " during round " + std::to_string(round));
+    if (m->kind == net::MessageKind::kRoundSync)
+      ++syncs;
+    else if (m->kind == kind)
+      on_data(std::move(*m));
+    else
+      protocol_error(self, std::string("unexpected ") +
+                               net::to_string(m->kind) + " frame");
+  }
+}
+
+}  // namespace
 
 void check_transport_supported(const fl::FedMsConfig& fed) {
   const auto reject = [](bool bad, const char* what) {
@@ -70,16 +97,15 @@ void check_transport_supported(const fl::FedMsConfig& fed) {
       throw std::runtime_error(
           std::string("transport engine does not support ") + what);
   };
-  reject(fed.byzantine_clients > 0, "byzantine_clients");
-  reject(fed.dp_clip_norm > 0.0, "differential privacy");
-  // Uniform partial participation is derivable per node (every process
-  // replays the shared "participation" seed stream); power-of-choice is
-  // not — it ranks clients by losses only the simulator sees globally.
+  // Power-of-choice ranks clients by losses only the simulator sees
+  // globally (uniform participation replays the shared seed stream).
   reject(fed.participation < 1.0 && fed.participation_strategy == "highloss",
          "participation_strategy=highloss (loss-based selection needs "
          "global loss state; rerun with --participation-strategy uniform)");
+  // A real link loses frames by corruption, not by a simulated coin flip.
   reject(fed.network_loss_rate > 0.0,
          "simulated link loss (use transport corruption injection)");
+  // Each client process reports only its own evaluation.
   reject(fed.eval_clients != 0, "eval_clients subsets");
 }
 
@@ -178,28 +204,15 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
   FEDMS_EXPECTS(k < fed.clients);
   FEDMS_EXPECTS(transport.self() == net::client_id(k));
 
-  const core::SeedSequence seeds(fed.seed);
   fl::LearnerPtr learner = fl::make_nn_learner(data, workload, fed, k);
-  const fl::AggregatorPtr filter = fl::make_aggregator(fed.client_filter);
+  fl::ClientRules rules(fed, /*keep_wire_bytes=*/true);
   // Same root batch, scorer model, and eval path as the simulator, so the
   // fedgreed selection — and hence --verify — is bit-identical per client.
-  fl::install_fedgreed_scorer(*filter, data, workload, fed);
-  const fl::UploadStrategyPtr upload = fl::make_upload_strategy(fed.upload);
-  core::Rng ps_choice = seeds.make_rng("ps-choice", k);
-  core::Rng participation_rng = seeds.make_rng("participation");
-  fl::PayloadCodecPtr codec;
-  if (fed.upload_compression != "none")
-    codec = fl::make_codec(fed.upload_compression);
-
-  // Negotiated wire encoding: uploads are encoded per-target (one stream
-  // per PS link, so delta/top-k references track what that PS decoded);
-  // broadcasts arrive in the encoding our hello announced and stateful
-  // payloads are materialized per-source stream. f32 skips all of it.
-  fl::WireEncodingSpec wire_spec;
-  FEDMS_EXPECTS(fl::parse_wire_encoding(fed.wire_encoding, &wire_spec).empty());
-  const bool wired = !wire_spec.is_f32();
-  fl::WireChannelBook upload_channels(wire_spec);     // keyed by target PS
-  fl::WireChannelBook broadcast_channels(wire_spec);  // keyed by source PS
+  fl::install_fedgreed_scorer(*rules.filter, data, workload, fed);
+  fl::ClientRound client(rules, k, *learner);
+  core::Rng participation_rng =
+      core::SeedSequence(fed.seed).make_rng("participation");
+  std::vector<net::Message> uploads;
 
   obs::set_thread_label("client" + std::to_string(k));
 
@@ -214,13 +227,13 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
     // PSs' barriers close, and still collects + filters broadcasts.
     const bool participates =
         fed.participation >= 1.0 ||
-        client_participates(fed, participation_rng, k);
+        fl::draw_participants(fed, participation_rng)[k];
 
     // ---- Stage 1: local training ----
     if (participates) {
       obs::Span span("node", "local_training", round, "client",
                      static_cast<std::int64_t>(k));
-      learner->local_training(fed.local_iterations);
+      client.train();
     }
 
     // ---- Stage 2: upload to the selected PS set, then round-sync all ----
@@ -228,100 +241,31 @@ NodeReport run_client_node(Transport& transport, const fl::Workload& data,
       obs::Span span("node", "upload", round, "client",
                      static_cast<std::int64_t>(k));
       if (participates) {
-        const auto targets =
-            upload->select_servers(k, round, fed.servers, ps_choice);
-        FEDMS_ASSERT(!targets.empty());
-        std::vector<float> payload = learner->parameters();
-        std::size_t encoded_bytes = 0;
-        std::vector<std::uint8_t> encoded;
-        if (codec) {
-          // Lossy round-trip, same as the simulator: the PS aggregates what
-          // the codec can deliver; the wire ships the encoded buffer
-          // verbatim.
-          encoded = codec->encode(payload);
-          encoded_bytes = encoded.size();
-          payload = codec->decode(encoded);
-        }
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-          net::Message m;
-          m.from = report.self;
-          m.to = net::server_id(targets[i]);
-          m.kind = net::MessageKind::kModelUpload;
-          m.round = round;
-          if (wired) {
-            // Sender-side round-trip: the payload we carry is exactly what
-            // the PS will decode, so simulator and transport stay
-            // bit-for-bit equal under every encoding.
-            fl::WireEncodeResult wire =
-                upload_channels.channel(m.to).encode(payload);
-            m.payload = std::move(wire.decoded);
-            m.encoded = std::move(wire.bytes);
-            m.encoded_bytes = m.encoded.size();
-            m.wire_format = wire_spec.format_tag();
-          } else {
-            m.payload =
-                (i + 1 == targets.size()) ? std::move(payload) : payload;
-            m.encoded_bytes = encoded_bytes;
-            m.encoded =
-                (i + 1 == targets.size()) ? std::move(encoded) : encoded;
-          }
-          transport.send(std::move(m));
-        }
+        uploads.clear();
+        client.upload(round, uploads);
+        for (net::Message& m : uploads) transport.send(std::move(m));
       }
-      for (std::size_t p = 0; p < fed.servers; ++p) {
-        net::Message sync;
-        sync.from = report.self;
-        sync.to = net::server_id(p);
-        sync.kind = net::MessageKind::kRoundSync;
-        sync.round = round;
-        transport.send(std::move(sync));
-      }
+      send_round_syncs(transport, fed.servers, /*to_servers=*/true, round);
     }
 
     // ---- Stage 3: collect broadcasts until every PS round-synced ----
-    std::map<std::size_t, fl::ModelVector> candidates;
     {
       obs::Span span("node", "dissemination", round, "client",
                      static_cast<std::int64_t>(k));
-      std::size_t syncs = 0;
-      while (syncs < fed.servers) {
-        auto m = transport.receive(timeout_seconds);
-        if (!m.has_value())
-          protocol_error(report.self,
-                         "timeout waiting for round " +
-                             std::to_string(round) + " broadcasts");
-        if (m->round != round)
-          protocol_error(report.self, "message from round " +
-                                          std::to_string(m->round) +
-                                          " during round " +
-                                          std::to_string(round));
-        if (m->kind == net::MessageKind::kRoundSync) {
-          ++syncs;
-        } else if (m->kind == net::MessageKind::kModelBroadcast) {
-          if (wired) fl::finish_wire_payload(*m, broadcast_channels);
-          candidates.emplace(m->from.index, std::move(m->payload));
-        } else {
-          protocol_error(report.self,
-                         std::string("unexpected ") + net::to_string(m->kind) + " frame");
-        }
-      }
+      collect_round(transport, round, fed.servers,
+                    net::MessageKind::kModelBroadcast, timeout_seconds,
+                    [&](net::Message m) { client.receive(std::move(m)); });
     }
 
-    // Def() over candidates in ascending server order (the simulator's
-    // drain order); an empty set means every PS went silent/corrupt and
-    // the client continues from its local model.
-    if (!candidates.empty()) {
+    // Def() over the candidates; an empty set means every PS went
+    // silent/corrupt and the client continues from its local model.
+    if (client.candidate_count() > 0) {
       obs::Span span("node", "filter", round, "client",
                      static_cast<std::int64_t>(k));
-      std::vector<fl::ModelVector> received;
-      received.reserve(candidates.size());
-      for (auto& [server, model] : candidates)
-        received.push_back(std::move(model));
-      learner->set_parameters(fl::apply_client_filter(
-          *filter, received, fed.servers, fed.byzantine));
+      client.filter();
     }
 
-    if ((round + 1) % fed.eval_every == 0 || round + 1 == fed.rounds) {
+    if (fl::is_eval_round(fed, round)) {
       const fl::LearnerEval eval = learner->evaluate();
       report.final_accuracy = eval.accuracy;
       report.final_eval_loss = eval.loss;
@@ -342,26 +286,10 @@ NodeReport run_server_node(Transport& transport,
   FEDMS_EXPECTS(p < fed.servers);
   FEDMS_EXPECTS(transport.self() == net::server_id(p));
 
-  // Re-derive this PS's identity and streams exactly as FedMsRun does;
-  // "byz-placement" is consumed identically in every process.
-  const core::SeedSequence seeds(fed.seed);
-  std::vector<bool> is_byzantine(fed.servers, false);
-  if (fed.byzantine_placement == "first") {
-    for (std::size_t i = 0; i < fed.byzantine; ++i) is_byzantine[i] = true;
-  } else {
-    core::Rng placement_rng = seeds.make_rng("byz-placement");
-    for (const std::size_t i : placement_rng.sample_without_replacement(
-             fed.servers, fed.byzantine))
-      is_byzantine[i] = true;
-  }
-  byz::AttackPtr attack;
-  if (is_byzantine[p]) attack = byz::make_attack(fed.attack);
-  fl::ParameterServer server(p, std::move(attack),
-                             seeds.make_rng("attack", p));
-  if (fed.server_aggregator != "mean")
-    server.set_aggregator(std::shared_ptr<const fl::Aggregator>(
-        fl::make_aggregator(fed.server_aggregator)));
-  server.set_initial_model(fl::initial_model(workload, fed));
+  // This PS's identity and streams, exactly as every other engine builds
+  // them (byz-placement is consumed identically in every process).
+  fl::ParameterServer server =
+      fl::make_server(fed, p, fl::initial_model(workload, fed));
 
   // Upload decode is self-describing per frame; one stream per client so
   // stateful references track each sender. Broadcast encode uses whatever
@@ -384,27 +312,12 @@ NodeReport run_server_node(Transport& transport,
       obs::Span span("node", "aggregation", round, "server",
                      static_cast<std::int64_t>(p));
       std::map<std::size_t, fl::ModelVector> uploads;
-      std::size_t syncs = 0;
-      while (syncs < fed.clients) {
-        auto m = transport.receive(timeout_seconds);
-        if (!m.has_value())
-          protocol_error(report.self, "timeout waiting for round " +
-                                          std::to_string(round) + " uploads");
-        if (m->round != round)
-          protocol_error(report.self, "message from round " +
-                                          std::to_string(m->round) +
-                                          " during round " +
-                                          std::to_string(round));
-        if (m->kind == net::MessageKind::kRoundSync) {
-          ++syncs;
-        } else if (m->kind == net::MessageKind::kModelUpload) {
-          fl::finish_wire_payload(*m, upload_channels);
-          uploads.emplace(m->from.index, std::move(m->payload));
-        } else {
-          protocol_error(report.self,
-                         std::string("unexpected ") + net::to_string(m->kind) + " frame");
-        }
-      }
+      collect_round(transport, round, fed.clients,
+                    net::MessageKind::kModelUpload, timeout_seconds,
+                    [&](net::Message m) {
+                      fl::finish_wire_payload(m, upload_channels);
+                      uploads.emplace(m.from.index, std::move(m.payload));
+                    });
 
       // Mean in ascending client order — float sums are order-dependent
       // and this is the simulator's inbox order.
@@ -421,12 +334,7 @@ NodeReport run_server_node(Transport& transport,
     obs::Span span("node", "dissemination", round, "server",
                    static_cast<std::int64_t>(p));
     for (std::size_t k = 0; k < fed.clients; ++k) {
-      net::Message m;
-      m.from = report.self;
-      m.to = net::client_id(k);
-      m.kind = net::MessageKind::kModelBroadcast;
-      m.round = round;
-      m.payload = server.disseminate(round, k);
+      net::Message m = fl::make_broadcast(server, round, k);
       // Empty payload = crashed/silent PS: nothing goes on the wire (the
       // client's wire stream does not advance either — keyframes are
       // per-frame flags, so a gap desynchronizes nothing).
@@ -435,26 +343,15 @@ NodeReport run_server_node(Transport& transport,
       fl::WireEncodingSpec spec;
       if (!fl::parse_wire_encoding(announced, &spec).empty())
         spec = fl::WireEncodingSpec{};  // unintelligible announce -> f32
-      if (!spec.is_f32()) {
-        // Encoded after any Byzantine tampering: the wire carries what the
-        // attack produced, quantized the way this client asked for.
-        fl::WireEncodeResult wire =
-            broadcast_channels.channel(m.to, spec).encode(m.payload);
-        m.payload = std::move(wire.decoded);
-        m.encoded = std::move(wire.bytes);
-        m.encoded_bytes = m.encoded.size();
-        m.wire_format = spec.format_tag();
-      }
+      // Encoded after any Byzantine tampering: the wire carries what the
+      // attack produced, quantized the way this client asked for.
+      if (!spec.is_f32())
+        fl::wire_encode_message(m, m.payload,
+                                broadcast_channels.channel(m.to, spec),
+                                /*keep_bytes=*/true);
       transport.send(std::move(m));
     }
-    for (std::size_t k = 0; k < fed.clients; ++k) {
-      net::Message sync;
-      sync.from = report.self;
-      sync.to = net::client_id(k);
-      sync.kind = net::MessageKind::kRoundSync;
-      sync.round = round;
-      transport.send(std::move(sync));
-    }
+    send_round_syncs(transport, fed.clients, /*to_servers=*/false, round);
   }
 
   report.model_crc = crc32c_floats(server.honest_aggregate());
@@ -498,6 +395,66 @@ std::uint64_t TransportRunSummary::corrupt_frames() const {
   for (const NodeReport& node : servers)
     total += node.stats.total_received().corrupt_frames;
   return total;
+}
+
+std::vector<std::string> diff_against_simulator(
+    const fl::WorkloadConfig& workload, const fl::FedMsConfig& fed,
+    const TransportRunSummary& summary) {
+  std::vector<std::uint32_t> sim_crcs;
+  fl::Experiment experiment = fl::make_experiment(workload, fed);
+  experiment.run->set_round_callback(
+      [&](std::uint64_t round, const std::vector<fl::LearnerPtr>& learners) {
+        if (round + 1 != fed.rounds) return;
+        for (const auto& learner : learners)
+          sim_crcs.push_back(crc32c_floats(learner->parameters()));
+      });
+  const fl::RunResult sim = experiment.run->run();
+
+  std::vector<std::string> diffs;
+  char line[160];
+  const fl::RoundRecord& eval = sim.final_eval();
+  // Bit for bit, not approximate: same floats in the same order.
+  if (summary.mean_accuracy() != *eval.eval_accuracy ||
+      summary.mean_eval_loss() != *eval.eval_loss) {
+    std::snprintf(line, sizeof line,
+                  "final eval: accuracy %.17g vs simulated %.17g, loss %.17g "
+                  "vs %.17g",
+                  summary.mean_accuracy(), *eval.eval_accuracy,
+                  summary.mean_eval_loss(), *eval.eval_loss);
+    diffs.emplace_back(line);
+  }
+  if (summary.clients.size() != sim_crcs.size())
+    diffs.emplace_back("client count");
+  for (std::size_t k = 0; k < std::min(sim_crcs.size(), summary.clients.size());
+       ++k) {
+    if (summary.clients[k].model_crc == sim_crcs[k]) continue;
+    std::snprintf(line, sizeof line,
+                  "client %zu final model CRC %08x vs simulated %08x", k,
+                  summary.clients[k].model_crc, sim_crcs[k]);
+    diffs.emplace_back(line);
+  }
+  const TransportRunSummary::DataTotals totals = summary.data_totals();
+  const auto traffic = [&](const char* direction, std::uint64_t bytes,
+                           std::uint64_t messages,
+                           const net::TrafficStats& simulated) {
+    if (bytes == simulated.bytes && messages == simulated.messages) return;
+    std::snprintf(line, sizeof line,
+                  "%s data traffic %llu B / %llu msgs vs simulated %llu B / "
+                  "%llu msgs",
+                  direction, static_cast<unsigned long long>(bytes),
+                  static_cast<unsigned long long>(messages),
+                  static_cast<unsigned long long>(simulated.bytes),
+                  static_cast<unsigned long long>(simulated.messages));
+    diffs.emplace_back(line);
+  };
+  traffic("uplink", totals.uplink_bytes, totals.uplink_messages,
+          sim.uplink_total);
+  traffic("downlink", totals.downlink_bytes, totals.downlink_messages,
+          sim.downlink_total);
+  if (summary.corrupt_frames() != 0)
+    diffs.emplace_back(std::to_string(summary.corrupt_frames()) +
+                       " corrupt frames");
+  return diffs;
 }
 
 TransportRunSummary run_transport_experiment(

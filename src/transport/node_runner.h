@@ -46,19 +46,9 @@
 namespace fedms::transport {
 
 // Throws std::runtime_error when (fed) uses a feature the transport
-// engine does not replicate (Byzantine clients, DP noise, partial
-// participation, simulated link loss, eval subsets).
+// engine does not replicate (loss-ranked participation, simulated link
+// loss, eval subsets).
 void check_transport_supported(const fl::FedMsConfig& fed);
-
-// Replays the simulator's uniform participation draw for one round and
-// reports whether client k is in the active set. The "participation"
-// stream is sequential across rounds, so every client calls this exactly
-// once per round, in round order — and only when participation < 1.0
-// (the simulator leaves the stream untouched at full participation).
-// Exported so the RNG stream-discipline tests can pin sim-vs-node draw
-// parity (the PR 4 wire-parity guarantee) at the stream level.
-bool client_participates(const fl::FedMsConfig& fed, core::Rng& rng,
-                         std::size_t k);
 
 struct NodeReport {
   net::NodeId self;
@@ -118,6 +108,14 @@ struct TransportRunSummary {
 
   std::uint64_t corrupt_frames() const;
 };
+
+// Re-runs (workload, fed) on the lockstep simulator and lists every way
+// `summary` differs from it: final accuracy and eval loss (bit for bit),
+// per-client final model CRCs, per-direction data traffic, and any corrupt
+// frame. Empty when the transport run reproduced the simulator exactly.
+std::vector<std::string> diff_against_simulator(
+    const fl::WorkloadConfig& workload, const fl::FedMsConfig& fed,
+    const TransportRunSummary& summary);
 
 // All K + P nodes on threads over one in-memory hub. The reference
 // transport run every other backend must match bit-for-bit.

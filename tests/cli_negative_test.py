@@ -190,6 +190,10 @@ def main():
                  ["--wire-encoding", "cannot be combined"])
     expect_error(sim, ["--wire-encoding", "int8", "--runtime", "async"],
                  ["--wire-encoding", "requires --runtime sync"])
+    expect_error(sim, ["--participation", "0.5", "--runtime", "async"],
+                 ["--participation", "requires --runtime sync"])
+    expect_error(sim, ["--loss-rate", "0.1", "--runtime", "async"],
+                 ["--loss-rate", "requires --runtime sync"])
     expect_error(node, ["--mode", "launch", "--wire-encoding", "delta+int8",
                         "--corrupt-rate", "0.1"],
                  ["--corrupt-rate", "desynchronize"])

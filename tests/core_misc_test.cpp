@@ -2,11 +2,19 @@
 
 #include <thread>
 
+#include "core/crc32c.h"
 #include "core/log.h"
 #include "core/stopwatch.h"
 
 namespace fedms::core {
 namespace {
+
+TEST(Crc32c, KnownAnswer) {
+  // The standard CRC32C check value (RFC 3720 appendix / "123456789").
+  EXPECT_EQ(crc32c("123456789", 9), 0xE3069283u);
+  // Checksumming in pieces, seeded by the running CRC, gives the same.
+  EXPECT_EQ(crc32c("6789", 4, crc32c("12345", 5)), 0xE3069283u);
+}
 
 TEST(Log, LevelThresholdFilters) {
   const LogLevel saved = log_level();

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include "byz/attacks.h"
 #include "core/rng.h"
@@ -140,6 +141,10 @@ struct AggregatorCase {
   const char* spec;
   bool selects_input;  // Krum returns one of its inputs verbatim
 };
+
+// Names the case by its spec; gtest's default byte dump would print the
+// spec pointer, so the discovered ctest names changed with every build.
+void PrintTo(const AggregatorCase& c, std::ostream* os) { *os << c.spec; }
 
 class AggregatorProperties
     : public ::testing::TestWithParam<AggregatorCase> {

@@ -28,8 +28,7 @@ std::vector<ModelVector> random_models(std::size_t count, std::size_t dim,
 }
 
 // Plants non-finite values in a few columns so those coordinates exercise
-// the selection (nth_element) path instead of the bounded-insertion fast
-// path.
+// the sorted-column path instead of the bounded-insertion fast path.
 void plant_nonfinite(std::vector<ModelVector>& models) {
   if (models.empty() || models[0].empty()) return;
   const std::size_t dim = models[0].size();
@@ -76,7 +75,7 @@ TEST(ShardedFilter, TrimmedMeanMatchesSerialBitForBit) {
 TEST(ShardedFilter, LargeTrimSelectionPathMatchesSerial) {
   core::ThreadPool pool(3);
   // trim = 40 of 100 models exceeds the bounded-insertion fast path:
-  // every coordinate takes the two-sided nth_element route.
+  // every coordinate takes the sorted-column route.
   auto models = random_models(100, 257, 99);
   plant_nonfinite(models);
   const ModelVector serial = trimmed_mean(models, std::size_t(40));

@@ -4,13 +4,17 @@
 //      timeout-adaptive trimming converges on the convex workload while
 //      the undefended mean diverges under the same plan;
 //   3. crashing more than P-2B servers triggers the last-feasible-model
-//      fallback instead of an exception.
+//      fallback instead of an exception;
+//   4. with no faults it is the lockstep FedMsRun, bit for bit, Byzantine
+//      clients and DP included (both engines drive fl::ClientRound).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "core/crc32c.h"
 #include "data/convex.h"
+#include "fl/fedms.h"
 #include "fl/quadratic_learner.h"
 #include "runtime/async_fedms.h"
 
@@ -209,6 +213,57 @@ TEST(AsyncFedMs, FaultFreeRunHasCleanTelemetry) {
   }
   EXPECT_DOUBLE_EQ(result.virtual_seconds,
                    result.rounds.back().end_seconds);
+}
+
+// Per-round, per-client CRC32C of every learner's model.
+using ModelCrcs = std::vector<std::vector<std::uint32_t>>;
+auto record_crcs(ModelCrcs& crcs) {
+  return [&crcs](std::uint64_t, const std::vector<fl::LearnerPtr>& learners) {
+    crcs.emplace_back();
+    for (const auto& learner : learners) {
+      const std::vector<float> w = learner->parameters();
+      crcs.back().push_back(core::crc32c(w.data(), w.size() * sizeof(float)));
+    }
+  };
+}
+
+void expect_async_matches_sync(const fl::FedMsConfig& fed) {
+  const data::QuadraticProblem problem = make_problem(fed.clients, 42);
+  ModelCrcs sync_crcs, async_crcs;
+  fl::FedMsRun sync(fed, make_learners(problem, fed));
+  sync.set_round_callback(record_crcs(sync_crcs));
+  const fl::RunResult sync_result = sync.run();
+  AsyncFedMsRun async(fed, RuntimeOptions{}, make_learners(problem, fed));
+  async.set_round_callback(record_crcs(async_crcs));
+  const AsyncRunResult async_result = async.run();
+
+  EXPECT_EQ(async_crcs, sync_crcs);
+  ASSERT_EQ(async_result.rounds.size(), sync_result.rounds.size());
+  for (std::size_t r = 0; r < sync_result.rounds.size(); ++r) {
+    const fl::RoundRecord& s = sync_result.rounds[r];
+    const fl::RoundRecord& a = async_result.rounds[r].base;
+    EXPECT_EQ(a.train_loss, s.train_loss) << "round " << r;
+    EXPECT_EQ(a.uplink_bytes, s.uplink_bytes) << "round " << r;
+    EXPECT_EQ(a.uplink_messages, s.uplink_messages) << "round " << r;
+    EXPECT_EQ(a.downlink_bytes, s.downlink_bytes) << "round " << r;
+    EXPECT_EQ(a.downlink_messages, s.downlink_messages) << "round " << r;
+  }
+}
+
+TEST(AsyncFedMs, MatchesSyncBitwiseWithByzantineClients) {
+  fl::FedMsConfig fed = base_config(5);
+  fed.byzantine_clients = 4;
+  fed.client_attack = "noise";
+  fed.byzantine_client_placement = "random";
+  fed.server_aggregator = "trmean:0.2";
+  expect_async_matches_sync(fed);
+}
+
+TEST(AsyncFedMs, MatchesSyncBitwiseWithDp) {
+  fl::FedMsConfig fed = base_config(6);
+  fed.dp_clip_norm = 0.5;
+  fed.dp_noise_multiplier = 0.2;
+  expect_async_matches_sync(fed);
 }
 
 TEST(AsyncFedMsDeath, RejectsUnsupportedExtensions) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "tensor/ops.h"
 
@@ -107,6 +108,14 @@ struct ConvGradCase {
   std::size_t stride;
   std::size_t padding;
 };
+
+// Names the case by its fields; gtest's default byte dump includes the
+// uninitialised padding after `depthwise`, so the discovered ctest names
+// changed from build to build.
+void PrintTo(const ConvGradCase& c, std::ostream* os) {
+  *os << (c.depthwise ? "depthwise" : "conv") << "_s" << c.stride << "_p"
+      << c.padding;
+}
 
 class ConvGradCheck : public ::testing::TestWithParam<ConvGradCase> {};
 

@@ -142,13 +142,42 @@ TEST(TransportEngine, MatchesSimulatorUnderPartialParticipation) {
   expect_matches_sim(small_workload(), fed);
 }
 
+TEST(TransportEngine, MatchesSimulatorWithByzantineClients) {
+  fl::FedMsConfig fed = small_fed();
+  fed.byzantine_clients = 1;
+  fed.client_attack = "noise";
+  fed.byzantine_client_placement = "random";
+  fed.rounds = 3;
+  expect_matches_sim(small_workload(), fed);
+}
+
+TEST(TransportEngine, MatchesSimulatorWithDp) {
+  fl::FedMsConfig fed = small_fed();
+  fed.dp_clip_norm = 0.5;
+  fed.dp_noise_multiplier = 0.1;
+  fed.rounds = 3;
+  expect_matches_sim(small_workload(), fed);
+}
+
+TEST(TransportEngine, DiffAgainstSimulatorNamesEachMismatch) {
+  const fl::WorkloadConfig workload = small_workload();
+  const fl::FedMsConfig fed = small_fed();
+  InMemoryHub hub(fed.upload_compression);
+  TransportRunSummary summary = run_transport_experiment(workload, fed, hub);
+  EXPECT_TRUE(diff_against_simulator(workload, fed, summary).empty());
+
+  summary.clients[0].final_accuracy += 0.25;
+  summary.clients[1].model_crc ^= 1u;
+  const std::vector<std::string> diffs =
+      diff_against_simulator(workload, fed, summary);
+  ASSERT_EQ(diffs.size(), 2u);
+  EXPECT_NE(diffs[0].find("final eval"), std::string::npos) << diffs[0];
+  EXPECT_NE(diffs[1].find("client 1"), std::string::npos) << diffs[1];
+}
+
 TEST(TransportEngine, RejectsUnsupportedConfigs) {
   fl::FedMsConfig fed = small_fed();
   fed.network_loss_rate = 0.1;
-  EXPECT_THROW(check_transport_supported(fed), std::runtime_error);
-  fed = small_fed();
-  fed.byzantine_clients = 1;
-  fed.client_attack = "signflip";
   EXPECT_THROW(check_transport_supported(fed), std::runtime_error);
 
   // Uniform partial participation is supported (the shared seed stream is

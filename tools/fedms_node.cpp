@@ -230,55 +230,14 @@ int run_server_process(const NodeCli& cli) {
 // bit-for-bit agreement. Returns true when everything matches.
 bool verify_against_sim(const NodeCli& cli,
                         const transport::TransportRunSummary& summary) {
-  std::vector<std::uint32_t> sim_crcs;
-  fl::Experiment experiment = fl::make_experiment(cli.workload, cli.fed);
-  experiment.run->set_round_callback(
-      [&](std::uint64_t round, const std::vector<fl::LearnerPtr>& learners) {
-        if (round + 1 != cli.fed.rounds) return;
-        sim_crcs.clear();
-        for (const auto& learner : learners)
-          sim_crcs.push_back(transport::crc32c_floats(learner->parameters()));
-      });
-  const fl::RunResult sim = experiment.run->run();
-
-  bool ok = true;
-  const auto check = [&](bool condition, const std::string& what) {
-    if (!condition) {
-      std::printf("verify: MISMATCH %s\n", what.c_str());
-      ok = false;
-    }
-  };
-
-  const auto totals = summary.data_totals();
-  check(totals.uplink_messages == sim.uplink_total.messages &&
-            totals.uplink_bytes == sim.uplink_total.bytes,
-        "uplink data traffic (measured " +
-            std::to_string(totals.uplink_bytes) + " B / " +
-            std::to_string(totals.uplink_messages) + " msgs, simulated " +
-            std::to_string(sim.uplink_total.bytes) + " B / " +
-            std::to_string(sim.uplink_total.messages) + " msgs)");
-  check(totals.downlink_messages == sim.downlink_total.messages &&
-            totals.downlink_bytes == sim.downlink_total.bytes,
-        "downlink data traffic (measured " +
-            std::to_string(totals.downlink_bytes) + " B, simulated " +
-            std::to_string(sim.downlink_total.bytes) + " B)");
-
-  const double sim_accuracy = *sim.final_eval().eval_accuracy;
-  const double run_accuracy = summary.mean_accuracy();
-  // Bit-for-bit, not approximate: same floats in the same order.
-  check(run_accuracy == sim_accuracy,
-        "final accuracy (measured " + std::to_string(run_accuracy) +
-            ", simulated " + std::to_string(sim_accuracy) + ")");
-
-  check(sim_crcs.size() == summary.clients.size(), "client count");
-  for (std::size_t k = 0;
-       k < std::min(sim_crcs.size(), summary.clients.size()); ++k)
-    check(summary.clients[k].model_crc == sim_crcs[k],
-          "client " + std::to_string(k) + " model CRC");
-
-  std::printf("verify: %s\n", ok ? "OK (bit-for-bit match with simulator)"
-                                 : "FAILED");
-  return ok;
+  const std::vector<std::string> diffs =
+      transport::diff_against_simulator(cli.workload, cli.fed, summary);
+  for (const std::string& diff : diffs)
+    std::printf("verify: MISMATCH %s\n", diff.c_str());
+  std::printf("verify: %s\n", diffs.empty()
+                                  ? "OK (bit-for-bit match with simulator)"
+                                  : "FAILED");
+  return diffs.empty();
 }
 
 void print_summary(const NodeCli& cli,

@@ -194,6 +194,12 @@ int main(int argc, char** argv) {
     return cli_error("--wire-encoding \"" + fed.wire_encoding +
                      "\" requires --runtime sync (the event-driven engine "
                      "has no per-link wire streams)");
+  if (async && fed.participation < 1.0)
+    return cli_error("--participation < 1 requires --runtime sync (the "
+                     "event-driven engine sets membership by churn)");
+  if (async && fed.network_loss_rate > 0.0)
+    return cli_error("--loss-rate requires --runtime sync (use --fault-plan "
+                     "drop=<p> with --runtime async)");
   runtime::RuntimeOptions runtime_options;
   runtime_options.compute_seconds = flags.get_double("compute-time");
   runtime_options.upload_window_seconds = flags.get_double("upload-window");
