@@ -105,15 +105,10 @@ int main(int argc, char** argv) {
       m.to = net::server_id(0);
       m.kind = net::MessageKind::kModelUpload;
       m.round = r;
-      if (spec.is_f32()) {
+      if (spec.is_f32())
         m.payload = model;
-      } else {
-        fl::WireEncodeResult wire = channel.encode(model);
-        m.payload = std::move(wire.decoded);
-        m.encoded = std::move(wire.bytes);
-        m.encoded_bytes = m.encoded.size();
-        m.wire_format = spec.format_tag();
-      }
+      else
+        fl::wire_encode_message(m, model, channel, /*keep_bytes=*/true);
       for (std::size_t j = 0; j < dim; ++j)
         max_error = std::max(
             max_error, double(std::abs(m.payload[j] - model[j])));

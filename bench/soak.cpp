@@ -158,14 +158,9 @@ int run_swarm(const transport::SocketAddress& address, std::size_t clients,
       upload.payload.resize(dim);
       for (std::size_t j = 0; j < dim; ++j)
         upload.payload[j] = payload_value(k, round, j);
-      if (wired) {
-        fl::WireEncodeResult wire =
-            upload_channels[k].encode(upload.payload);
-        upload.payload = std::move(wire.decoded);
-        upload.encoded = std::move(wire.bytes);
-        upload.encoded_bytes = upload.encoded.size();
-        upload.wire_format = wire_spec.format_tag();
-      }
+      if (wired)
+        fl::wire_encode_message(upload, upload.payload, upload_channels[k],
+                                /*keep_bytes=*/true);
       frame.clear();  // encode_to appends
       codec.encode_to(upload, frame);
       write_full(fds[k], frame.data(), frame.size());

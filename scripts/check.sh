@@ -148,6 +148,9 @@ done
 "$build/tools/fedms_node" --mode launch --backend unix \
   --clients 4 --servers 2 --byzantine 1 --rounds 2 --samples 400 \
   --wire-encoding topk:0.25 --verify
+# Stateless encodings also run in the event-driven engine.
+"$build/tools/fedms_sim" --runtime async --wire-encoding int8 \
+  --clients 4 --servers 2 --byzantine 1 --rounds 2 --samples 400 > /dev/null
 
 echo "== soak smoke (64-client event-loop rounds) =="
 "$build/bench/soak" --quick > /dev/null
@@ -286,12 +289,13 @@ echo "== configure + build (ASan + UBSan) =="
 # selection, sharded pools) with every allocation checked; the runtime and
 # in-memory transport suites carry the engine-parity tests (Byzantine
 # clients and DP through every engine); the determinism suite covers the
-# trimmed-mean kernels under all rounding modes.
+# trimmed-mean kernels under all rounding modes; the compression suite
+# covers the base codecs behind every lossy wire encoding.
 asan_tests=(
   runtime_event_queue_test runtime_fault_test runtime_async_test
   transport_frame_test transport_inmem_test transport_socket_test
   eventloop_test eventloop_churn_test fl_wire_encoding_test
-  tensor_gemm_test tensor_workspace_test
+  fl_compression_test tensor_gemm_test tensor_workspace_test
   fl_aggregator_properties_test fl_determinism_test
 )
 cmake -B "$asan_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \

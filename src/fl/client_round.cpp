@@ -85,6 +85,18 @@ net::Message make_broadcast(ParameterServer& server, std::uint64_t round,
   return m;
 }
 
+net::Message BroadcastEncoder::broadcast(ParameterServer& server,
+                                         std::uint64_t round,
+                                         std::size_t client,
+                                         const WireEncodingSpec& spec) {
+  net::Message m = make_broadcast(server, round, client);
+  if (m.payload.empty() || spec.is_f32()) return m;
+  if (!streams_) streams_.emplace(spec);
+  wire_encode_message(m, m.payload, streams_->channel(m.to, spec),
+                      keep_wire_bytes_);
+  return m;
+}
+
 std::size_t participant_count(const FedMsConfig& config) {
   return std::max<std::size_t>(
       1, static_cast<std::size_t>(config.participation *
@@ -106,8 +118,6 @@ ClientRules::ClientRules(const FedMsConfig& run_config, bool keep_bytes)
   config.validate();
   filter = make_aggregator(config.client_filter);
   upload = make_upload_strategy(config.upload);
-  if (config.upload_compression != "none")
-    codec = make_codec(config.upload_compression);
   FEDMS_EXPECTS(parse_wire_encoding(config.wire_encoding, &wire).empty());
   byzantine_clients.assign(config.clients, false);
   if (config.byzantine_clients > 0) {
@@ -185,12 +195,6 @@ void ClientRound::upload(std::uint64_t round,
   } else if (rules.config.dp_clip_norm > 0.0) {
     privatize(payload);
   }
-  std::vector<std::uint8_t> encoded;
-  if (rules.codec) {
-    // Lossy round-trip: the PS aggregates what the codec can deliver.
-    encoded = rules.codec->encode(payload);
-    payload = rules.codec->decode(encoded);
-  }
   for (std::size_t i = 0; i < targets.size(); ++i) {
     net::Message& m = out.emplace_back();
     m.from = net::client_id(client_);
@@ -203,11 +207,7 @@ void ClientRound::upload(std::uint64_t round,
       continue;
     }
     // Copy for all but the last target; move the final one.
-    const bool last = i + 1 == targets.size();
-    m.payload = last ? std::move(payload) : payload;
-    m.encoded_bytes = encoded.size();
-    if (rules.keep_wire_bytes)
-      m.encoded = last ? std::move(encoded) : encoded;
+    m.payload = i + 1 == targets.size() ? std::move(payload) : payload;
   }
 }
 

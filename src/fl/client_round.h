@@ -9,8 +9,8 @@
 //
 //   train()    E local SGD steps from the model the client holds;
 //   upload()   the local model — forged by a Byzantine client, clipped and
-//              noised under DP, round-tripped through the legacy codec or
-//              the per-link wire encoding — as one message per target PS;
+//              noised under DP, round-tripped through the per-link wire
+//              encoding — as one message per target PS;
 //   receive()  the broadcasts that arrive, keyed by source PS;
 //   filter()   Def() over those candidates in ascending server order,
 //              installed as the client's next model.
@@ -28,7 +28,6 @@
 #include "byz/client_attacks.h"
 #include "core/rng.h"
 #include "fl/aggregators.h"
-#include "fl/compression.h"
 #include "fl/config.h"
 #include "fl/learner.h"
 #include "fl/server.h"
@@ -58,6 +57,28 @@ std::vector<ParameterServer> make_servers(const FedMsConfig& config,
 net::Message make_broadcast(ParameterServer& server, std::uint64_t round,
                             std::size_t client);
 
+// One PS's broadcast streams, one per recipient client. Every engine sends
+// its broadcasts through here, so each puts the same bytes on the wire.
+class BroadcastEncoder {
+ public:
+  // `keep_wire_bytes`: messages carry their encoded bytes (a real
+  // transport ships them); simulators only bill their size.
+  explicit BroadcastEncoder(bool keep_wire_bytes)
+      : keep_wire_bytes_(keep_wire_bytes) {}
+
+  // make_broadcast, then — unless `spec` (the encoding `client` asked for)
+  // is f32 — encoded after any Byzantine tampering on the PS's stream to
+  // `client` and stamped by wire_encode_message. A silent PS's empty
+  // payload is returned as is and advances no stream.
+  net::Message broadcast(ParameterServer& server, std::uint64_t round,
+                         std::size_t client, const WireEncodingSpec& spec);
+
+ private:
+  bool keep_wire_bytes_;
+  // Created by the first recipient whose spec is not f32.
+  std::optional<WireChannelBook> streams_;
+};
+
 // Clients that train and upload this round under partial participation:
 // round(participation·K), at least 1.
 std::size_t participant_count(const FedMsConfig& config);
@@ -80,7 +101,6 @@ struct ClientRules {
   bool keep_wire_bytes = false;
   AggregatorPtr filter;  // Def()
   UploadStrategyPtr upload;
-  PayloadCodecPtr codec;  // legacy --compression; nullptr = none
   WireEncodingSpec wire;
   byz::ClientAttackPtr client_attack;  // nullptr without Byzantine clients
   std::vector<bool> byzantine_clients;  // per client

@@ -164,21 +164,17 @@ std::vector<float> Fp16Codec::decode(
 
 // ---- int8 ----
 
-Int8Codec::Int8Codec(std::size_t block_size) : block_size_(block_size) {
-  FEDMS_EXPECTS(block_size > 0);
-}
-
 std::vector<std::uint8_t> Int8Codec::encode(
     const std::vector<float>& values) const {
+  constexpr std::size_t block = kWireInt8Block;
   std::vector<std::uint8_t> out;
-  const std::size_t blocks =
-      values.empty() ? 0 : (values.size() + block_size_ - 1) / block_size_;
-  out.reserve(8 + blocks * (4 + block_size_));
+  const std::size_t blocks = (values.size() + block - 1) / block;
+  out.reserve(8 + blocks * (4 + block));
   append_u32(out, std::uint32_t(values.size()));
-  append_u32(out, std::uint32_t(block_size_));
+  append_u32(out, std::uint32_t(block));
   for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t begin = b * block_size_;
-    const std::size_t end = std::min(begin + block_size_, values.size());
+    const std::size_t begin = b * block;
+    const std::size_t end = std::min(begin + block, values.size());
     // Non-finite values get the reserved -128 code (decoded as NaN) and
     // are excluded from the scale: an Inf must neither poison the whole
     // block's scale nor silently saturate into a finite value.

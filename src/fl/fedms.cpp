@@ -56,9 +56,8 @@ FedMsRun::FedMsRun(FedMsConfig config, std::vector<LearnerPtr> learners)
   network_ = net::SimNetwork(seeds.make_rng("network"));
   network_.set_loss_rate(config_.network_loss_rate);
   participation_rng_ = seeds.make_rng("participation");
-  if (!rules_.wire.is_f32())
-    for (std::size_t p = 0; p < config_.servers; ++p)
-      wire_downlinks_.emplace_back(rules_.wire);
+  broadcasters_.assign(config_.servers,
+                       BroadcastEncoder(/*keep_wire_bytes=*/false));
 }
 
 void FedMsRun::set_round_callback(RoundCallback callback) {
@@ -162,16 +161,11 @@ void FedMsRun::execute_round(std::uint64_t round, RunResult& result) {
   std::vector<net::Message> broadcasts;
   broadcasts.reserve(servers_.size() * learners_.size());
   for (auto& server : servers_) {
+    BroadcastEncoder& encoder = broadcasters_[server.index()];
     for (std::size_t k = 0; k < learners_.size(); ++k) {
-      net::Message m = make_broadcast(server, round, k);
+      net::Message m = encoder.broadcast(server, round, k, rules_.wire);
       // An empty payload is a crashed/silent PS: nothing goes on the wire.
       if (m.payload.empty()) continue;
-      // Encoded after the Byzantine tampering, per (PS, client) stream —
-      // exactly what the transport engine puts on the wire.
-      if (!wire_downlinks_.empty())
-        wire_encode_message(m, m.payload,
-                            wire_downlinks_[server.index()].channel(m.to),
-                            /*keep_bytes=*/false);
       broadcasts.push_back(std::move(m));
     }
   }

@@ -29,7 +29,6 @@
 #include "fl/config.h"
 #include "fl/learner.h"
 #include "fl/server.h"
-#include "fl/wire_encoding.h"
 #include "net/latency.h"
 #include "net/sim_network.h"
 
@@ -115,9 +114,7 @@ class FedMsRun {
   net::LatencyModel latency_;
   core::Rng participation_rng_;
   std::vector<double> last_losses_;  // per-client, for highloss selection
-  // Broadcast wire streams (config.wire_encoding != "f32"), one book per
-  // server keyed by the client id — the transport engine's keying.
-  std::vector<WireChannelBook> wire_downlinks_;
+  std::vector<BroadcastEncoder> broadcasters_;  // one per server
   core::ThreadPool pool_;  // local-training fan-out
   RoundCallback callback_;
 };

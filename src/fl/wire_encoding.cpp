@@ -40,29 +40,6 @@ std::uint32_t get_u32(const std::uint8_t* data) {
          (std::uint32_t(data[2]) << 16) | (std::uint32_t(data[3]) << 24);
 }
 
-PayloadCodecPtr make_base_codec(const std::string& base) {
-  if (base == "f32") return std::make_unique<IdentityCodec>();
-  if (base == "fp16") return std::make_unique<Fp16Codec>();
-  if (base == "int8") return std::make_unique<Int8Codec>(kWireInt8Block);
-  FEDMS_EXPECTS(!"unknown wire-encoding base");
-  return nullptr;
-}
-
-PayloadCodecPtr base_codec_for_tag(std::uint8_t tag) {
-  switch (tag) {
-    case kWireFormatFp16:
-    case kWireFormatDeltaFp16:
-      return std::make_unique<Fp16Codec>();
-    case kWireFormatInt8:
-    case kWireFormatDeltaInt8:
-      return std::make_unique<Int8Codec>(kWireInt8Block);
-    case kWireFormatDeltaF32:
-      return std::make_unique<IdentityCodec>();
-    default:
-      return nullptr;
-  }
-}
-
 std::string validate_topk_body(const std::uint8_t* body, std::size_t size,
                                bool keyframe) {
   if (size < 8) return "truncated topk payload";
@@ -85,6 +62,24 @@ std::string validate_topk_body(const std::uint8_t* body, std::size_t size,
 }
 
 }  // namespace
+
+const PayloadCodec* base_codec(std::uint8_t format_tag) {
+  static const IdentityCodec f32;
+  static const Fp16Codec fp16;
+  static const Int8Codec int8;
+  switch (format_tag) {
+    case kWireFormatFp16:
+    case kWireFormatDeltaFp16:
+      return &fp16;
+    case kWireFormatInt8:
+    case kWireFormatDeltaInt8:
+      return &int8;
+    case kWireFormatDeltaF32:
+      return &f32;
+    default:
+      return nullptr;
+  }
+}
 
 std::uint8_t WireEncodingSpec::format_tag() const {
   if (topk > 0.0) return kWireFormatTopK;
@@ -155,21 +150,17 @@ std::string validate_stateful_payload(std::uint8_t format_tag,
   const std::size_t body_size = size - kStatefulHeaderBytes;
   if (format_tag == kWireFormatTopK)
     return validate_topk_body(body, body_size, keyframe);
-  const PayloadCodecPtr codec = base_codec_for_tag(format_tag);
   try {
-    (void)codec->decode(std::vector<std::uint8_t>(body, body + body_size));
+    (void)base_codec(format_tag)->decode(
+        std::vector<std::uint8_t>(body, body + body_size));
   } catch (const std::exception& error) {
     return error.what();
   }
   return "";
 }
 
-WireChannel::WireChannel(WireEncodingSpec spec) : spec_(std::move(spec)) {
-  if (spec_.topk == 0.0 && spec_.base != "f32")
-    base_codec_ = make_base_codec(spec_.base);
-  else if (spec_.delta)
-    base_codec_ = make_base_codec(spec_.base);
-}
+WireChannel::WireChannel(WireEncodingSpec spec)
+    : spec_(std::move(spec)), base_codec_(base_codec(spec_.format_tag())) {}
 
 std::size_t WireChannel::topk_count(double fraction, std::size_t dim) {
   if (dim == 0) return 0;
@@ -266,10 +257,9 @@ std::vector<float> WireChannel::decode(std::uint8_t format_tag,
 std::vector<float> WireChannel::decode(std::uint8_t format_tag,
                                        const std::uint8_t* data,
                                        std::size_t size) {
-  if (format_tag == kWireFormatFp16 || format_tag == kWireFormatInt8) {
-    const PayloadCodecPtr codec = base_codec_for_tag(format_tag);
-    return codec->decode(std::vector<std::uint8_t>(data, data + size));
-  }
+  if (format_tag == kWireFormatFp16 || format_tag == kWireFormatInt8)
+    return base_codec(format_tag)->decode(
+        std::vector<std::uint8_t>(data, data + size));
   if (const std::string error =
           validate_stateful_payload(format_tag, data, size);
       !error.empty())
@@ -307,9 +297,9 @@ std::vector<float> WireChannel::decode(std::uint8_t format_tag,
     }
     FEDMS_ASSERT(next_value == k);
   } else {
-    const PayloadCodecPtr codec = base_codec_for_tag(format_tag);
     const std::vector<float> diff =
-        codec->decode(std::vector<std::uint8_t>(body, body + body_size));
+        base_codec(format_tag)->decode(
+            std::vector<std::uint8_t>(body, body + body_size));
     if (keyframe) {
       decoded = diff;
     } else {

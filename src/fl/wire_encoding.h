@@ -53,11 +53,6 @@ inline constexpr std::uint8_t kWireFormatDeltaFp16 = 5;
 inline constexpr std::uint8_t kWireFormatDeltaInt8 = 6;
 inline constexpr std::uint8_t kWireFormatCount = 7;
 
-// The wire int8 path quantizes in finer blocks than the legacy upload
-// codec (64 vs 256): model deltas have spikier per-block ranges, and the
-// extra scales cost 6% of the payload for a visibly tighter error bound.
-inline constexpr std::size_t kWireInt8Block = 64;
-
 struct WireEncodingSpec {
   std::string base = "f32";  // f32 | fp16 | int8
   bool delta = false;
@@ -78,6 +73,12 @@ std::string parse_wire_encoding(const std::string& text,
                                 WireEncodingSpec* spec);
 // "" = valid spec.
 std::string check_wire_encoding(const std::string& text);
+
+// The quantizer behind a format tag: fp16 for the fp16 and delta+fp16
+// tags, int8 for the two int8 tags, float32 passthrough for delta+f32;
+// nullptr for raw f32 and top-k, which carry no base-codec buffer. The
+// codecs are shared immutable instances, so any thread may use them.
+const PayloadCodec* base_codec(std::uint8_t format_tag);
 
 // Structural validation of a stateful (topk / delta*) wire payload
 // without reference state: lengths, k <= count, bitmap popcount == k,
@@ -122,7 +123,7 @@ class WireChannel {
 
  private:
   WireEncodingSpec spec_;
-  PayloadCodecPtr base_codec_;  // fp16/int8 bases (delta or stateless)
+  const PayloadCodec* base_codec_;  // fp16/int8 bases (delta or stateless)
   std::vector<float> reference_;
   bool have_reference_ = false;
 };

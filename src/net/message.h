@@ -34,18 +34,19 @@ struct Message {
   MessageKind kind = MessageKind::kModelUpload;
   std::uint64_t round = 0;
   std::vector<float> payload;
-  // When a lossy codec was applied, `payload` holds the *decoded* values
-  // the receiver observes and this field holds the encoded size actually
-  // sent over the wire. 0 means uncompressed (size derived from payload).
+  // When a wire encoding was applied (fl::wire_encode_message), `payload`
+  // holds the *decoded* values the receiver observes and this field holds
+  // the encoded size actually sent over the wire. 0 means uncompressed
+  // (size derived from payload).
   std::size_t encoded_bytes = 0;
-  // The codec's actual output when encoded_bytes > 0, carried so a real
-  // wire transport ships the encoded bytes without re-encoding (and the
-  // receiver's decode is bit-identical to what the sender observed).
+  // The encoding's actual output when encoded_bytes > 0. A real wire
+  // transport ships these bytes verbatim (so the receiver's decode is
+  // bit-identical to what the sender observed) and requires them.
   // Simulation paths may leave it empty: accounting only needs the size.
   std::vector<std::uint8_t> encoded;
   // Wire-encoding format tag stamped into the frame header's format byte
-  // when encoded_bytes > 0 (fl::kWireFormat*). 0 = raw float32 / legacy
-  // session-codec framing.
+  // (fl::kWireFormat*); nonzero whenever encoded_bytes > 0. 0 = raw
+  // float32.
   std::uint8_t wire_format = 0;
   // kHello only: the wire-encoding spec this peer wants its broadcasts
   // in, carried in the frame header's reserved bytes (<= 18 ASCII chars;

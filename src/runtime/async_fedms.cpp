@@ -58,9 +58,11 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
   // worker_threads is ignored — handlers run inline in deterministic event
   // order. Churn, not a participation draw, sets who trains each round.
   FEDMS_EXPECTS(config_.participation == 1.0);
-  // In-flight drops and retries would desync stateful wire streams; the
-  // CLI layers reject the combination with a one-liner before this fires.
-  FEDMS_EXPECTS(config_.wire_encoding == "f32");
+  // In-flight drops and retries would desync stateful wire streams, which
+  // have no keyframe recovery; the CLI layers reject the combination with
+  // a one-liner before this fires. Stateless fp16/int8 frames need no
+  // per-stream reference.
+  FEDMS_EXPECTS(!rules_.wire.stateful());
   // Uniform network loss is expressed as FaultPlan::drop_rate here.
   FEDMS_EXPECTS(config_.network_loss_rate == 0.0);
   for (const ServerCrash& crash : options_.faults.crashes)
@@ -92,6 +94,8 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
   const std::vector<float> w0 = learners_.front()->parameters();
   FEDMS_EXPECTS(w0.size() == learners_.front()->dimension());
   servers_ = fl::make_servers(config_, w0);
+  broadcasters_.assign(config_.servers,
+                       fl::BroadcastEncoder(/*keep_wire_bytes=*/false));
   client_rounds_.reserve(config_.clients);
   for (std::size_t k = 0; k < config_.clients; ++k)
     client_rounds_.emplace_back(rules_, k, *learners_[k]);
@@ -192,7 +196,8 @@ void AsyncFedMsRun::client_filter_deadline(std::size_t k,
         return;
       }
       // Byzantine PSs tamper retries too (fresh attack randomness).
-      net::Message response = fl::make_broadcast(servers_[s], round, k);
+      net::Message response =
+          broadcasters_[s].broadcast(servers_[s], round, k, rules_.wire);
       if (response.payload.empty()) return;  // crash-attack PS stays silent
       send(std::move(response), round, [this, round, k, s](net::Message m) {
         ClientState& c = clients_[k];
@@ -376,7 +381,8 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
                      static_cast<std::int64_t>(s));
       for (std::size_t k = 0; k < config_.clients; ++k) {
         if (!client_active_[k]) continue;  // absent clients get nothing
-        net::Message m = fl::make_broadcast(servers_[s], round, k);
+        net::Message m =
+            broadcasters_[s].broadcast(servers_[s], round, k, rules_.wire);
         if (m.payload.empty()) continue;  // crash-attack PS stays silent
         send(std::move(m), round, [this, round, k, s](net::Message msg) {
           ClientState& client = clients_[k];

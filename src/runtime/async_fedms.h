@@ -29,9 +29,12 @@
 //
 // The client step (training, upload pipeline, candidate bookkeeping,
 // Def()) is fl::ClientRound, shared with the other engines; this runtime
-// only schedules it. Rejected at construction: partial participation and
-// wire encodings (in-flight drops and retries would desync the stateful
-// streams), and `network_loss_rate` (subsumed by FaultPlan::drop_rate).
+// only schedules it; broadcasts and retry responses go through
+// fl::BroadcastEncoder, so the stateless fp16/int8 wire encodings run here
+// as in the other engines. Rejected at construction: partial
+// participation, the stateful delta/top-k encodings (in-flight drops and
+// retries would desync their reference chains, which have no keyframe
+// recovery), and `network_loss_rate` (subsumed by FaultPlan::drop_rate).
 #pragma once
 
 #include <cstdint>
@@ -209,6 +212,7 @@ class AsyncFedMsRun {
   std::vector<fl::ClientRound> client_rounds_;
   std::vector<net::Message> outbox_;  // one client's uploads, reused
   std::vector<fl::ParameterServer> servers_;
+  std::vector<fl::BroadcastEncoder> broadcasters_;  // one per server
   std::size_t quorum_ = 1;
   net::LatencyModel latency_;
   EventQueue queue_;

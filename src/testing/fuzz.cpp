@@ -327,7 +327,7 @@ FuzzOutcome run_transport(const FuzzSchedule& schedule) {
   workload.model = "mlp";
   workload.mlp_hidden = {8};
 
-  transport::InMemoryHub hub(fed.upload_compression);
+  transport::InMemoryHub hub;
   hub.set_deterministic(true);
   const std::vector<std::string> diffs = transport::diff_against_simulator(
       workload, fed, transport::run_transport_experiment(workload, fed, hub));

@@ -26,8 +26,8 @@
 // Payload section by format:
 //   kRawFloat32    : u64 value count + count×f32  (L = 8 + 4·count)
 //   kFp16/kInt8    : the fl::PayloadCodec's encoded buffer, verbatim —
-//                    self-describing, decodable by any session codec
-//                    (L = Message::encoded_bytes)
+//                    self-describing: the format byte alone picks the
+//                    codec (L = Message::encoded_bytes)
 //   kTopK/kDelta*  : fl::wire_encoding stateful payload (flags byte,
 //                    reference CRC, then the top-k bitmap+values or the
 //                    base-codec diff buffer). decode() validates the
@@ -43,12 +43,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "fl/compression.h"
 #include "net/message.h"
 
 namespace fedms::transport {
@@ -78,7 +76,7 @@ enum class FrameError {
   kBadMagic,        // not a Fed-MS frame
   kBadVersion,      // protocol version mismatch
   kBadKind,         // unknown MessageKind
-  kBadFormat,       // unknown PayloadFormat, or format needs a codec we lack
+  kBadFormat,       // unknown PayloadFormat
   kBadNodeKind,     // node kind byte out of range
   kBadReserved,     // reserved header bytes not zero
   kLengthMismatch,  // payload length inconsistent with its own contents
@@ -98,24 +96,20 @@ std::uint32_t crc32c_floats(const std::vector<float>& values);
 
 class FrameCodec {
  public:
-  // `payload_codec` is the session's legacy upload-compression spec
-  // ("none", "fp16", "int8") — used to (re-)encode messages that carry an
-  // encoded size but no encoded buffer. Decoding is self-describing: any
-  // codec decodes any frame (kFp16/kInt8 through stateless codecs,
-  // kTopK/kDelta* validated structurally and left for the receiver's
-  // fl::WireChannel).
-  explicit FrameCodec(const std::string& payload_codec = "none");
-
-  const std::string& payload_codec() const { return payload_codec_name_; }
+  // Stateless: compressed payloads arrive already encoded (fl's wire
+  // encodings), and decoding is self-describing (kFp16/kInt8 through the
+  // static base codecs, kTopK/kDelta* validated structurally and left for
+  // the receiver's fl::WireChannel). `name` must be "none"
+  // (contract-checked); it names the raw float32 framing.
+  explicit FrameCodec(const std::string& name = "none");
 
   // Total on-the-wire size encode() will produce — delegates to
   // net::wire_size, the shared accounting definition.
   static std::size_t framed_size(const net::Message& message);
 
-  // Serializes one frame. For compressed messages (encoded_bytes > 0) the
-  // encoded buffer is shipped verbatim when `message.encoded` carries it;
-  // otherwise the payload is re-encoded with the session codec (the sizes
-  // must agree — contract-checked). ENSURES the output size equals
+  // Serializes one frame. A compressed message (encoded_bytes > 0) must
+  // carry its wire_format tag and its `encoded` bytes, which are shipped
+  // verbatim (contract-checked). ENSURES the output size equals
   // framed_size(message).
   std::vector<std::uint8_t> encode(const net::Message& message) const;
   void encode_to(const net::Message& message,
@@ -139,11 +133,6 @@ class FrameCodec {
   static std::optional<std::size_t> frame_size(const std::uint8_t* data,
                                                std::size_t size,
                                                FrameError* error = nullptr);
-
- private:
-  std::string payload_codec_name_;
-  fl::PayloadCodecPtr payload_codec_;  // nullptr for "none"
-  PayloadFormat compressed_format_ = PayloadFormat::kRawFloat32;
 };
 
 }  // namespace fedms::transport

@@ -297,8 +297,8 @@ NodeReport run_server_node(Transport& transport,
   // dissemination stage every client has identified itself).
   fl::WireEncodingSpec wire_spec;
   FEDMS_EXPECTS(fl::parse_wire_encoding(fed.wire_encoding, &wire_spec).empty());
-  fl::WireChannelBook upload_channels(wire_spec);     // keyed by client
-  fl::WireChannelBook broadcast_channels(wire_spec);  // keyed by client
+  fl::WireChannelBook upload_channels(wire_spec);  // keyed by client
+  fl::BroadcastEncoder broadcaster(/*keep_wire_bytes=*/true);
 
   obs::set_thread_label("server" + std::to_string(p));
 
@@ -334,21 +334,18 @@ NodeReport run_server_node(Transport& transport,
     obs::Span span("node", "dissemination", round, "server",
                    static_cast<std::int64_t>(p));
     for (std::size_t k = 0; k < fed.clients; ++k) {
-      net::Message m = fl::make_broadcast(server, round, k);
+      // Each client's broadcasts go out in the encoding its hello asked
+      // for; an unintelligible announce gets f32.
+      fl::WireEncodingSpec spec;
+      if (!fl::parse_wire_encoding(
+               transport.peer_encoding(net::client_id(k)), &spec)
+               .empty())
+        spec = fl::WireEncodingSpec{};
+      net::Message m = broadcaster.broadcast(server, round, k, spec);
       // Empty payload = crashed/silent PS: nothing goes on the wire (the
       // client's wire stream does not advance either — keyframes are
       // per-frame flags, so a gap desynchronizes nothing).
       if (m.payload.empty()) continue;
-      const std::string announced = transport.peer_encoding(m.to);
-      fl::WireEncodingSpec spec;
-      if (!fl::parse_wire_encoding(announced, &spec).empty())
-        spec = fl::WireEncodingSpec{};  // unintelligible announce -> f32
-      // Encoded after any Byzantine tampering: the wire carries what the
-      // attack produced, quantized the way this client asked for.
-      if (!spec.is_f32())
-        fl::wire_encode_message(m, m.payload,
-                                broadcast_channels.channel(m.to, spec),
-                                /*keep_bytes=*/true);
       transport.send(std::move(m));
     }
     send_round_syncs(transport, fed.clients, /*to_servers=*/false, round);

@@ -184,12 +184,13 @@ def main():
                  ["--wire-encoding", "unknown wire encoding"])
     expect_error(node, ["--mode", "launch", "--wire-encoding", "topk:1.5"],
                  ["topk fraction must be in (0, 1]"])
-    # Invalid combinations: one payload codec at a time, wire streams need
-    # the sync engine, and stateful streams cannot absorb dropped frames.
-    expect_error(sim, ["--wire-encoding", "fp16", "--compression", "int8"],
-                 ["--wire-encoding", "cannot be combined"])
-    expect_error(sim, ["--wire-encoding", "int8", "--runtime", "async"],
-                 ["--wire-encoding", "requires --runtime sync"])
+    # --compression is not a flag: --wire-encoding is the one lossy
+    # payload path. Invalid combinations: stateful wire streams need the
+    # sync engine and cannot absorb dropped frames.
+    expect_error(sim, ["--compression", "int8"],
+                 ["unknown flag: --compression"])
+    expect_error(sim, ["--wire-encoding", "delta+int8", "--runtime", "async"],
+                 ["--wire-encoding", "requires --runtime sync", "keyframe"])
     expect_error(sim, ["--participation", "0.5", "--runtime", "async"],
                  ["--participation", "requires --runtime sync"])
     expect_error(sim, ["--loss-rate", "0.1", "--runtime", "async"],

@@ -282,7 +282,7 @@ TEST(EventLoopServer, FullRunMatchesInMemoryBitForBit) {
   fed.eval_every = 1;
   fed.seed = 5;
 
-  transport::InMemoryHub hub(fed.upload_compression);
+  transport::InMemoryHub hub;
   const transport::TransportRunSummary reference =
       transport::run_transport_experiment(workload, fed, hub);
 

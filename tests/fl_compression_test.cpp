@@ -89,19 +89,21 @@ TEST(Fp16Codec, RoundTripErrorBounded) {
 }
 
 TEST(Int8Codec, QuartersTheBytes) {
-  Int8Codec codec(256);
-  const auto values = random_values(1024, 5);
-  // 8-byte header + 4 blocks * (4-byte scale + 256 bytes).
-  EXPECT_EQ(codec.encode(values).size(), 8u + 4u * (4u + 256u));
+  Int8Codec codec;
+  const auto values = random_values(16 * kWireInt8Block, 5);
+  // 8-byte header + 16 blocks * (4-byte scale + 64 bytes).
+  EXPECT_EQ(codec.encode(values).size(), 8u + 16u * (4u + kWireInt8Block));
 }
 
 TEST(Int8Codec, ErrorBoundedByHalfStep) {
-  Int8Codec codec(128);
+  Int8Codec codec;
   const auto values = random_values(1000, 6, 2.0f);
   const auto back = codec.roundtrip(values);
   // Per block, |error| <= scale/2 where scale = max_abs/127.
-  for (std::size_t begin = 0; begin < values.size(); begin += 128) {
-    const std::size_t end = std::min<std::size_t>(begin + 128, values.size());
+  for (std::size_t begin = 0; begin < values.size();
+       begin += kWireInt8Block) {
+    const std::size_t end =
+        std::min<std::size_t>(begin + kWireInt8Block, values.size());
     float max_abs = 0.0f;
     for (std::size_t i = begin; i < end; ++i)
       max_abs = std::max(max_abs, std::abs(values[i]));
@@ -112,16 +114,16 @@ TEST(Int8Codec, ErrorBoundedByHalfStep) {
 }
 
 TEST(Int8Codec, ZeroBlockRoundTripsToZero) {
-  Int8Codec codec(16);
-  const std::vector<float> zeros(40, 0.0f);
+  Int8Codec codec;
+  const std::vector<float> zeros(2 * kWireInt8Block + 8, 0.0f);
   EXPECT_EQ(codec.roundtrip(zeros), zeros);
 }
 
 TEST(Int8Codec, PartialFinalBlockHandled) {
-  Int8Codec codec(16);
-  const auto values = random_values(21, 7);  // 16 + 5
+  Int8Codec codec;
+  const auto values = random_values(kWireInt8Block + 5, 7);
   const auto back = codec.roundtrip(values);
-  EXPECT_EQ(back.size(), 21u);
+  EXPECT_EQ(back.size(), kWireInt8Block + 5);
 }
 
 TEST(Codecs, EmptyPayloadRoundTrips) {
@@ -144,8 +146,8 @@ TEST(CodecFactoryDeath, UnknownNameAborts) {
   EXPECT_DEATH((void)make_codec("gzip"), "Precondition");
 }
 
-// Integration: compressed uploads cut uplink bytes without destroying
-// accuracy (fp16's 2^-11 relative error is negligible for SGD).
+// Integration: compressed wire payloads cut uplink bytes without
+// destroying accuracy (fp16's 2^-11 relative error is negligible for SGD).
 TEST(CompressionIntegration, Fp16HalvesUplinkKeepsAccuracy) {
   WorkloadConfig workload;
   workload.samples = 800;
@@ -165,7 +167,7 @@ TEST(CompressionIntegration, Fp16HalvesUplinkKeepsAccuracy) {
   fed.seed = 17;
 
   const RunResult raw = run_experiment(workload, fed);
-  fed.upload_compression = "fp16";
+  fed.wire_encoding = "fp16";
   const RunResult fp16 = run_experiment(workload, fed);
 
   EXPECT_LT(double(fp16.uplink_total.bytes),
@@ -190,15 +192,9 @@ TEST(CompressionIntegration, Int8StillLearns) {
   fed.rounds = 12;
   fed.eval_every = 12;
   fed.seed = 19;
-  fed.upload_compression = "int8";
+  fed.wire_encoding = "int8";
   const RunResult result = run_experiment(workload, fed);
   EXPECT_GT(*result.final_eval().eval_accuracy, 0.6);
-}
-
-TEST(ConfigDeath, RejectsUnknownCompression) {
-  FedMsConfig fed;
-  fed.upload_compression = "gzip";
-  EXPECT_DEATH(fed.validate(), "Precondition");
 }
 
 }  // namespace

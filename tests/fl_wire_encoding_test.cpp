@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "core/rng.h"
+#include "fl/client_round.h"
 #include "transport/transport.h"
 
 namespace fedms::fl {
@@ -308,27 +309,18 @@ TEST(MixedEncodingFleet, ServerHonorsEachPeersAnnouncedEncoding) {
   EXPECT_EQ(server->peer_encoding(net::client_id(1)), "topk:0.25");
   EXPECT_EQ(server->peer_encoding(net::client_id(2)), "f32");
 
+  // The PS half is the engines' broadcast step: each client's broadcast
+  // goes out in the encoding its hello announced.
   const std::vector<float> model = random_values(64, 10);
-  WireChannelBook broadcast_channels(spec_of("f32"));
+  ParameterServer ps(0, nullptr, core::Rng(10));
+  ps.set_initial_model(model);
+  BroadcastEncoder broadcaster(/*keep_wire_bytes=*/true);
   for (std::size_t k = 0; k < 3; ++k) {
-    const net::NodeId to = net::client_id(k);
-    net::Message m;
-    m.from = net::server_id(0);
-    m.to = to;
-    m.kind = net::MessageKind::kModelBroadcast;
     WireEncodingSpec spec;
-    ASSERT_EQ(parse_wire_encoding(server->peer_encoding(to), &spec), "");
-    if (spec.is_f32()) {
-      m.payload = model;
-    } else {
-      WireEncodeResult wire =
-          broadcast_channels.channel(to, spec).encode(model);
-      m.payload = std::move(wire.decoded);
-      m.encoded = std::move(wire.bytes);
-      m.encoded_bytes = m.encoded.size();
-      m.wire_format = spec.format_tag();
-    }
-    server->send(std::move(m));
+    ASSERT_EQ(parse_wire_encoding(server->peer_encoding(net::client_id(k)),
+                                  &spec),
+              "");
+    server->send(broadcaster.broadcast(ps, /*round=*/0, k, spec));
   }
 
   const auto take = [](transport::Transport& endpoint) {

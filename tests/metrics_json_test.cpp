@@ -43,11 +43,14 @@ TEST(JsonEscape, HandlesSpecials) {
 TEST(JsonExport, ContainsConfigAndRounds) {
   fl::FedMsConfig config;
   config.attack = "random";
+  config.wire_encoding = "int8";
   std::ostringstream os;
   write_run_json(os, config, sample_run());
   const std::string json = os.str();
   EXPECT_NE(json.find("\"clients\": 50"), std::string::npos);
   EXPECT_NE(json.find("\"attack\": \"random\""), std::string::npos);
+  EXPECT_NE(json.find("\"wire_encoding\": \"int8\""), std::string::npos);
+  EXPECT_EQ(json.find("\"compression\""), std::string::npos);
   EXPECT_NE(json.find("\"round\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"eval_accuracy\": 0.75"), std::string::npos);
   EXPECT_NE(json.find("\"uplink_bytes\": 6000"), std::string::npos);

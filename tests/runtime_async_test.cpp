@@ -266,10 +266,31 @@ TEST(AsyncFedMs, MatchesSyncBitwiseWithDp) {
   expect_async_matches_sync(fed);
 }
 
+// Stateless wire encodings: every broadcast (Byzantine ones included) is
+// quantized per recipient exactly as the lockstep loop quantizes it.
+TEST(AsyncFedMs, MatchesSyncBitwiseWithFp16Wire) {
+  fl::FedMsConfig fed = base_config(7);
+  fed.wire_encoding = "fp16";
+  expect_async_matches_sync(fed);
+}
+
+TEST(AsyncFedMs, MatchesSyncBitwiseWithInt8Wire) {
+  fl::FedMsConfig fed = base_config(8);
+  fed.wire_encoding = "int8";
+  expect_async_matches_sync(fed);
+}
+
 TEST(AsyncFedMsDeath, RejectsUnsupportedExtensions) {
   fl::FedMsConfig fed = base_config(1);
   fed.network_loss_rate = 0.1;  // expressed via FaultPlan::drop_rate
   const data::QuadraticProblem problem = make_problem(fed.clients, 42);
+  EXPECT_DEATH(
+      AsyncFedMsRun(fed, RuntimeOptions{}, make_learners(problem, fed)),
+      "Precondition");
+  // Stateful encodings: a dropped or retried frame would desync the
+  // per-stream reference chain.
+  fed = base_config(1);
+  fed.wire_encoding = "delta+int8";
   EXPECT_DEATH(
       AsyncFedMsRun(fed, RuntimeOptions{}, make_learners(problem, fed)),
       "Precondition");

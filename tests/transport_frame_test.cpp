@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "core/rng.h"
-#include "fl/compression.h"
 #include "fl/wire_encoding.h"
 #include "net/message.h"
 
@@ -83,18 +82,21 @@ TEST(FrameCodec, RoundTripsEmptyAndLargePayloads) {
   }
 }
 
+// A stateless wire-encoded message, stamped the way every engine stamps
+// one: payload = what the receiver decodes, encoded = the shipped bytes.
+net::Message wire_message(const std::string& encoding, std::size_t dim) {
+  fl::WireEncodingSpec spec;
+  EXPECT_EQ(fl::parse_wire_encoding(encoding, &spec), "");
+  fl::WireChannel channel(spec);
+  net::Message m = make_message(net::MessageKind::kModelUpload, dim);
+  fl::wire_encode_message(m, m.payload, channel, /*keep_bytes=*/true);
+  return m;
+}
+
 TEST(FrameCodec, RoundTripsCompressedPayloads) {
-  for (const std::string codec_name : {"fp16", "int8"}) {
-    const FrameCodec codec(codec_name);
-    const fl::PayloadCodecPtr payload_codec = fl::make_codec(codec_name);
-
-    net::Message original = make_message(net::MessageKind::kModelUpload, 300);
-    // The sender's lossy round-trip: payload holds the decoded values, the
-    // wire ships the encoded buffer.
-    original.encoded = payload_codec->encode(original.payload);
-    original.encoded_bytes = original.encoded.size();
-    original.payload = payload_codec->decode(original.encoded);
-
+  const FrameCodec codec;
+  for (const std::string encoding : {"fp16", "int8"}) {
+    const net::Message original = wire_message(encoding, 300);
     const auto frame = codec.encode(original);
     EXPECT_EQ(frame.size(), net::wire_size(original));
     EXPECT_EQ(frame.size(),
@@ -104,39 +106,34 @@ TEST(FrameCodec, RoundTripsCompressedPayloads) {
     ASSERT_TRUE(decoded.ok()) << to_string(decoded.error);
     expect_equal(decoded.message, original);
     EXPECT_EQ(decoded.message.encoded, original.encoded);
+    EXPECT_EQ(decoded.message.wire_format, original.wire_format);
   }
 }
 
-TEST(FrameCodec, ReencodesWhenEncodedBufferNotCarried) {
-  const FrameCodec codec("fp16");
-  const fl::PayloadCodecPtr fp16 = fl::make_codec("fp16");
-  net::Message original = make_message(net::MessageKind::kModelUpload, 32);
-  const std::vector<std::uint8_t> encoded = fp16->encode(original.payload);
-  original.payload = fp16->decode(encoded);
-  original.encoded_bytes = encoded.size();
-  // encoded left empty: encode() must re-encode with the session codec.
-  const auto frame = codec.encode(original);
-  const auto decoded = codec.decode(frame);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.message.payload, original.payload);
+TEST(FrameCodec, CompressedFramesAreSelfDescribing) {
+  // Negotiated encodings mean a receiver cannot know the sender's encoding
+  // in advance: the frame's format byte alone picks the decoder.
+  const FrameCodec codec;
+  const net::Message fp16 = wire_message("fp16", 8);
+  const net::Message int8 = wire_message("int8", 8);
+  for (const net::Message* m : {&fp16, &int8}) {
+    const auto decoded = codec.decode(codec.encode(*m));
+    ASSERT_TRUE(decoded.ok()) << to_string(decoded.error);
+    EXPECT_EQ(decoded.message.wire_format, m->wire_format);
+    EXPECT_EQ(decoded.message.payload, m->payload);
+    EXPECT_EQ(decoded.message.encoded, m->encoded);
+  }
 }
 
-TEST(FrameCodec, CompressedFramesAreSelfDescribing) {
-  // Negotiated encodings mean a receiver cannot know the sender's codec in
-  // advance: stateless fp16/int8 frames decode under ANY session codec.
-  const FrameCodec fp16_codec("fp16");
-  const fl::PayloadCodecPtr fp16 = fl::make_codec("fp16");
-  net::Message m = make_message(net::MessageKind::kModelUpload, 8);
-  m.encoded = fp16->encode(m.payload);
-  m.encoded_bytes = m.encoded.size();
-  m.payload = fp16->decode(m.encoded);
-  const auto frame = fp16_codec.encode(m);
-
-  const FrameCodec plain_codec;
-  const auto decoded = plain_codec.decode(frame);
-  ASSERT_TRUE(decoded.ok()) << to_string(decoded.error);
-  EXPECT_EQ(decoded.message.payload, m.payload);
-  EXPECT_EQ(decoded.message.encoded, m.encoded);
+TEST(FrameCodecDeath, CompressedMessageMustCarryFormatAndBytes) {
+  const FrameCodec codec;
+  net::Message untagged = wire_message("fp16", 8);
+  untagged.wire_format = 0;
+  EXPECT_DEATH((void)codec.encode(untagged), "Precondition");
+  net::Message bytes_dropped = wire_message("fp16", 8);
+  bytes_dropped.encoded.clear();
+  EXPECT_DEATH((void)codec.encode(bytes_dropped), "Precondition");
+  EXPECT_DEATH((void)FrameCodec("fp16"), "Precondition");
 }
 
 TEST(FrameCodec, StatefulFramesValidateAndDeferDecoding) {

@@ -60,7 +60,7 @@ void expect_matches_sim(const fl::WorkloadConfig& workload,
                         const fl::FedMsConfig& fed) {
   const SimBaseline sim = run_sim(workload, fed);
 
-  InMemoryHub hub(fed.upload_compression);
+  InMemoryHub hub;
   const TransportRunSummary summary =
       run_transport_experiment(workload, fed, hub);
 
@@ -94,10 +94,13 @@ TEST(TransportEngine, MatchesSimulatorUnderRandomPlacementAndAttack) {
   expect_matches_sim(small_workload(), fed);
 }
 
-TEST(TransportEngine, MatchesSimulatorWithCompressedUploads) {
-  fl::FedMsConfig fed = small_fed();
-  fed.upload_compression = "int8";
-  expect_matches_sim(small_workload(), fed);
+TEST(TransportEngine, MatchesSimulatorWithWireEncodings) {
+  for (const char* encoding : {"fp16", "int8", "delta+int8", "topk:0.25"}) {
+    SCOPED_TRACE(encoding);
+    fl::FedMsConfig fed = small_fed();
+    fed.wire_encoding = encoding;
+    expect_matches_sim(small_workload(), fed);
+  }
 }
 
 TEST(TransportEngine, MatchesSimulatorWithFullUploadAndLongerRun) {
@@ -112,7 +115,7 @@ TEST(TransportEngine, CorruptionDegradesGracefullyThroughTrimmedMean) {
   const fl::WorkloadConfig workload = small_workload();
   const fl::FedMsConfig fed = small_fed();
 
-  InMemoryHub hub(fed.upload_compression);
+  InMemoryHub hub;
   hub.set_corrupt_rate(0.4, 77);
   const TransportRunSummary summary =
       run_transport_experiment(workload, fed, hub);
@@ -162,7 +165,7 @@ TEST(TransportEngine, MatchesSimulatorWithDp) {
 TEST(TransportEngine, DiffAgainstSimulatorNamesEachMismatch) {
   const fl::WorkloadConfig workload = small_workload();
   const fl::FedMsConfig fed = small_fed();
-  InMemoryHub hub(fed.upload_compression);
+  InMemoryHub hub;
   TransportRunSummary summary = run_transport_experiment(workload, fed, hub);
   EXPECT_TRUE(diff_against_simulator(workload, fed, summary).empty());
 

@@ -1,7 +1,7 @@
 // fedms_sim — the full-surface command-line simulator.
 //
 // Exposes every knob of the Fed-MS stack (topology, attacks on both sides,
-// defenses on both sides, upload strategy, compression, participation,
+// defenses on both sides, upload strategy, wire encoding, participation,
 // network loss, data heterogeneity, model choice) and prints one CSV row
 // per evaluated round, plus a run summary. With --repeats N it re-runs the
 // experiment under derived seeds and reports mean ± stddev of the final
@@ -21,6 +21,7 @@
 #include "fl/aggregators.h"
 #include "fl/experiment.h"
 #include "fl/upload.h"
+#include "fl/wire_encoding.h"
 #include "metrics/json.h"
 #include "obs/obs.h"
 #include "metrics/recorder.h"
@@ -64,8 +65,6 @@ int main(int argc, char** argv) {
                    "Byzantine client forgery: benign | signflip | scaling | "
                    "noise | zero | random");
   // Communication extensions.
-  flags.add_string("compression", "none",
-                   "upload payload codec: none | fp16 | int8");
   flags.add_string("wire-encoding", "f32",
                    "negotiated wire encoding: f32 | fp16 | int8 | "
                    "delta+<base> | topk:<frac>");
@@ -144,7 +143,6 @@ int main(int argc, char** argv) {
   fed.attack = flags.get_string("attack");
   fed.byzantine_clients = std::size_t(flags.get_int("byzantine-clients"));
   fed.client_attack = flags.get_string("client-attack");
-  fed.upload_compression = flags.get_string("compression");
   fed.wire_encoding = flags.get_string("wire-encoding");
   fed.participation = flags.get_double("participation");
   fed.network_loss_rate = flags.get_double("loss-rate");
@@ -190,10 +188,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool async = runtime_kind == "async";
-  if (async && fed.wire_encoding != "f32")
+  fl::WireEncodingSpec wire;  // fed.check() above validated the spec
+  (void)fl::parse_wire_encoding(fed.wire_encoding, &wire);
+  if (async && wire.stateful())
     return cli_error("--wire-encoding \"" + fed.wire_encoding +
-                     "\" requires --runtime sync (the event-driven engine "
-                     "has no per-link wire streams)");
+                     "\" requires --runtime sync (dropped or retried frames "
+                     "would desynchronize its delta/top-k reference chains, "
+                     "and streams have no keyframe recovery); fp16 and int8 "
+                     "run in both runtimes");
   if (async && fed.participation < 1.0)
     return cli_error("--participation < 1 requires --runtime sync (the "
                      "event-driven engine sets membership by churn)");
