@@ -119,14 +119,14 @@ int run_swarm(const transport::SocketAddress& address, std::size_t clients,
   const net::NodeId server = net::server_id(0);
   // Per-client wire streams, one each way (upload encode / broadcast
   // decode), mirroring the per-connection channels of the real client.
-  std::vector<fl::WireChannel> upload_channels;
-  std::vector<fl::WireChannel> broadcast_channels;
+  std::vector<fl::WireChannel> uplink_channels;
+  std::vector<fl::WireChannel> downlink_channels;
   if (wired) {
-    upload_channels.reserve(clients);
-    broadcast_channels.reserve(clients);
+    uplink_channels.reserve(clients);
+    downlink_channels.reserve(clients);
     for (std::size_t k = 0; k < clients; ++k) {
-      upload_channels.emplace_back(wire_spec);
-      broadcast_channels.emplace_back(wire_spec);
+      uplink_channels.emplace_back(wire_spec);
+      downlink_channels.emplace_back(wire_spec);
     }
   }
   // Generous backoff: the parent's listener may still be coming up, and
@@ -159,7 +159,7 @@ int run_swarm(const transport::SocketAddress& address, std::size_t clients,
       for (std::size_t j = 0; j < dim; ++j)
         upload.payload[j] = payload_value(k, round, j);
       if (wired)
-        fl::wire_encode_message(upload, upload.payload, upload_channels[k],
+        fl::wire_encode_message(upload, upload.payload, uplink_channels[k],
                                 /*keep_bytes=*/true);
       frame.clear();  // encode_to appends
       codec.encode_to(upload, frame);
@@ -185,7 +185,7 @@ int run_swarm(const transport::SocketAddress& address, std::size_t clients,
           throw std::runtime_error("swarm: round mismatch");
         if (m.kind == net::MessageKind::kModelBroadcast) {
           if (wired && m.payload.empty() && m.encoded_bytes > 0)
-            m.payload = broadcast_channels[k].decode(m.wire_format,
+            m.payload = downlink_channels[k].decode(m.wire_format,
                                                      m.encoded);
           if (m.payload.size() != dim)
             throw std::runtime_error("swarm: broadcast dim mismatch");

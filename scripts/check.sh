@@ -297,6 +297,7 @@ asan_tests=(
   eventloop_test eventloop_churn_test fl_wire_encoding_test
   fl_compression_test tensor_gemm_test tensor_workspace_test
   fl_aggregator_properties_test fl_determinism_test
+  fl_server_test runtime_churn_test
 )
 cmake -B "$asan_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DFEDMS_SANITIZE=ON

@@ -31,7 +31,7 @@ std::vector<bool> placement(std::size_t count, std::size_t byzantine,
 ParameterServer build_server(const FedMsConfig& config, std::size_t index,
                              bool byzantine,
                              std::shared_ptr<const Aggregator> rule,
-                             std::vector<float> w0) {
+                             std::vector<float> w0, bool keep_wire_bytes) {
   byz::AttackPtr attack;
   if (byzantine) attack = byz::make_attack(config.attack);
   ParameterServer server(index, std::move(attack),
@@ -40,6 +40,7 @@ ParameterServer build_server(const FedMsConfig& config, std::size_t index,
   // PS-side robust aggregation (extension; the paper's setting is mean).
   if (rule) server.set_aggregator(std::move(rule));
   server.set_initial_model(std::move(w0));
+  server.set_keep_wire_bytes(keep_wire_bytes);
   return server;
 }
 
@@ -57,44 +58,23 @@ std::vector<bool> byzantine_servers(const FedMsConfig& config) {
 }
 
 ParameterServer make_server(const FedMsConfig& config, std::size_t index,
-                            std::vector<float> w0) {
+                            std::vector<float> w0, bool keep_wire_bytes) {
   FEDMS_EXPECTS(index < config.servers);
   return build_server(config, index, byzantine_servers(config)[index],
-                      server_rule(config), std::move(w0));
+                      server_rule(config), std::move(w0), keep_wire_bytes);
 }
 
 std::vector<ParameterServer> make_servers(const FedMsConfig& config,
-                                          const std::vector<float>& w0) {
+                                          const std::vector<float>& w0,
+                                          bool keep_wire_bytes) {
   const std::vector<bool> byzantine = byzantine_servers(config);
   const std::shared_ptr<const Aggregator> rule = server_rule(config);
   std::vector<ParameterServer> servers;
   servers.reserve(config.servers);
   for (std::size_t i = 0; i < config.servers; ++i)
-    servers.push_back(build_server(config, i, byzantine[i], rule, w0));
+    servers.push_back(
+        build_server(config, i, byzantine[i], rule, w0, keep_wire_bytes));
   return servers;
-}
-
-net::Message make_broadcast(ParameterServer& server, std::uint64_t round,
-                            std::size_t client) {
-  net::Message m;
-  m.from = net::server_id(server.index());
-  m.to = net::client_id(client);
-  m.kind = net::MessageKind::kModelBroadcast;
-  m.round = round;
-  m.payload = server.disseminate(round, client);
-  return m;
-}
-
-net::Message BroadcastEncoder::broadcast(ParameterServer& server,
-                                         std::uint64_t round,
-                                         std::size_t client,
-                                         const WireEncodingSpec& spec) {
-  net::Message m = make_broadcast(server, round, client);
-  if (m.payload.empty() || spec.is_f32()) return m;
-  if (!streams_) streams_.emplace(spec);
-  wire_encode_message(m, m.payload, streams_->channel(m.to, spec),
-                      keep_wire_bytes_);
-  return m;
 }
 
 std::size_t participant_count(const FedMsConfig& config) {

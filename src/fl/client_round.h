@@ -5,7 +5,8 @@
 // (runtime::AsyncFedMsRun) and the per-node protocol engine
 // (transport::run_client_node / run_server_node) all drive these pieces
 // and differ only in how they schedule nodes, move messages and keep time.
-// A client's round is:
+// The server half of the round is fl::ParameterServer (fl/server.h),
+// built by make_server(s) below. A client's round is:
 //
 //   train()    E local SGD steps from the model the client holds;
 //   upload()   the local model — forged by a Byzantine client, clipped and
@@ -45,39 +46,14 @@ std::vector<bool> byzantine_servers(const FedMsConfig& config);
 
 // PS `index` of the run: the configured attack when it is Byzantine, its
 // "attack"/index stream, the server-side aggregation rule, holding w₀.
+// `keep_wire_bytes`: its broadcasts carry their encoded bytes (a real
+// transport ships them); simulators only bill their size.
 ParameterServer make_server(const FedMsConfig& config, std::size_t index,
-                            std::vector<float> w0);
+                            std::vector<float> w0, bool keep_wire_bytes);
 // All P servers of the run, sharing one server-side aggregation rule.
 std::vector<ParameterServer> make_servers(const FedMsConfig& config,
-                                          const std::vector<float>& w0);
-
-// PS `server`'s round-`round` broadcast to `client`: the honest aggregate,
-// or the attack's output when the PS is Byzantine. An empty payload means
-// the PS stays silent and nothing goes on the wire.
-net::Message make_broadcast(ParameterServer& server, std::uint64_t round,
-                            std::size_t client);
-
-// One PS's broadcast streams, one per recipient client. Every engine sends
-// its broadcasts through here, so each puts the same bytes on the wire.
-class BroadcastEncoder {
- public:
-  // `keep_wire_bytes`: messages carry their encoded bytes (a real
-  // transport ships them); simulators only bill their size.
-  explicit BroadcastEncoder(bool keep_wire_bytes)
-      : keep_wire_bytes_(keep_wire_bytes) {}
-
-  // make_broadcast, then — unless `spec` (the encoding `client` asked for)
-  // is f32 — encoded after any Byzantine tampering on the PS's stream to
-  // `client` and stamped by wire_encode_message. A silent PS's empty
-  // payload is returned as is and advances no stream.
-  net::Message broadcast(ParameterServer& server, std::uint64_t round,
-                         std::size_t client, const WireEncodingSpec& spec);
-
- private:
-  bool keep_wire_bytes_;
-  // Created by the first recipient whose spec is not f32.
-  std::optional<WireChannelBook> streams_;
-};
+                                          const std::vector<float>& w0,
+                                          bool keep_wire_bytes);
 
 // Clients that train and upload this round under partial participation:
 // round(participation·K), at least 1.

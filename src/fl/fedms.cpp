@@ -47,7 +47,7 @@ FedMsRun::FedMsRun(FedMsConfig config, std::vector<LearnerPtr> learners)
   // Every PS starts holding w₀ (the common initial model).
   const std::vector<float> w0 = learners_.front()->parameters();
   FEDMS_EXPECTS(w0.size() == learners_.front()->dimension());
-  servers_ = make_servers(config_, w0);
+  servers_ = make_servers(config_, w0, /*keep_wire_bytes=*/false);
   clients_.reserve(config_.clients);
   for (std::size_t k = 0; k < config_.clients; ++k)
     clients_.emplace_back(rules_, k, *learners_[k]);
@@ -56,8 +56,6 @@ FedMsRun::FedMsRun(FedMsConfig config, std::vector<LearnerPtr> learners)
   network_ = net::SimNetwork(seeds.make_rng("network"));
   network_.set_loss_rate(config_.network_loss_rate);
   participation_rng_ = seeds.make_rng("participation");
-  broadcasters_.assign(config_.servers,
-                       BroadcastEncoder(/*keep_wire_bytes=*/false));
 }
 
 void FedMsRun::set_round_callback(RoundCallback callback) {
@@ -148,10 +146,9 @@ void FedMsRun::execute_round(std::uint64_t round, RunResult& result) {
   {
     obs::Span span("sim", "aggregation", round);
     for (auto& server : servers_) {
-      std::vector<std::vector<float>> received;
       for (auto& m : network_.drain_inbox(net::server_id(server.index())))
-        received.push_back(std::move(m.payload));
-      server.aggregate_round(round, received);
+        server.receive(std::move(m));
+      server.aggregate_round(round);
     }
   }
 
@@ -161,9 +158,8 @@ void FedMsRun::execute_round(std::uint64_t round, RunResult& result) {
   std::vector<net::Message> broadcasts;
   broadcasts.reserve(servers_.size() * learners_.size());
   for (auto& server : servers_) {
-    BroadcastEncoder& encoder = broadcasters_[server.index()];
     for (std::size_t k = 0; k < learners_.size(); ++k) {
-      net::Message m = encoder.broadcast(server, round, k, rules_.wire);
+      net::Message m = server.broadcast(round, k, rules_.wire);
       // An empty payload is a crashed/silent PS: nothing goes on the wire.
       if (m.payload.empty()) continue;
       broadcasts.push_back(std::move(m));

@@ -11,9 +11,9 @@
 //      Def() filter (Fed-MS: trmean_β) over the P received models to get
 //      its next-round starting point.
 //
-// The client step is fl::ClientRound and the PSs come from fl::make_servers
-// (fl/client_round.h), shared with the event-driven and transport engines;
-// this loop only runs the stages in lockstep over a SimNetwork.
+// The client step is fl::ClientRound and the server step fl::ParameterServer
+// (built by fl::make_servers), shared with the event-driven and transport
+// engines; this loop only runs the stages in lockstep over a SimNetwork.
 //
 // Vanilla FedAvg without defense is the same loop with filter "mean"; the
 // single-PS classic is servers=1, byzantine=0.
@@ -114,7 +114,6 @@ class FedMsRun {
   net::LatencyModel latency_;
   core::Rng participation_rng_;
   std::vector<double> last_losses_;  // per-client, for highloss selection
-  std::vector<BroadcastEncoder> broadcasters_;  // one per server
   core::ThreadPool pool_;  // local-training fan-out
   RoundCallback callback_;
 };

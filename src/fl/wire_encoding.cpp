@@ -61,6 +61,26 @@ std::string validate_topk_body(const std::uint8_t* body, std::size_t size,
   return "";
 }
 
+// validate_stateful_payload short of decoding a delta body, which
+// WireChannel::decode leaves to its one real decode.
+std::string validate_stateful_frame(std::uint8_t format_tag,
+                                    const std::uint8_t* data,
+                                    std::size_t size) {
+  if (format_tag != kWireFormatTopK && format_tag != kWireFormatDeltaF32 &&
+      format_tag != kWireFormatDeltaFp16 && format_tag != kWireFormatDeltaInt8)
+    return "not a stateful wire format";
+  if (size < kStatefulHeaderBytes) return "truncated wire payload";
+  const std::uint8_t flags = data[0];
+  if ((flags & ~kFlagKeyframe) != 0) return "unknown wire payload flags";
+  const bool keyframe = (flags & kFlagKeyframe) != 0;
+  if (keyframe && get_u32(data + 1) != 0)
+    return "keyframe with nonzero reference crc";
+  if (format_tag == kWireFormatTopK)
+    return validate_topk_body(data + kStatefulHeaderBytes,
+                              size - kStatefulHeaderBytes, keyframe);
+  return "";
+}
+
 }  // namespace
 
 const PayloadCodec* base_codec(std::uint8_t format_tag) {
@@ -137,22 +157,12 @@ std::string check_wire_encoding(const std::string& text) {
 std::string validate_stateful_payload(std::uint8_t format_tag,
                                       const std::uint8_t* data,
                                       std::size_t size) {
-  if (format_tag != kWireFormatTopK && format_tag != kWireFormatDeltaF32 &&
-      format_tag != kWireFormatDeltaFp16 && format_tag != kWireFormatDeltaInt8)
-    return "not a stateful wire format";
-  if (size < kStatefulHeaderBytes) return "truncated wire payload";
-  const std::uint8_t flags = data[0];
-  if ((flags & ~kFlagKeyframe) != 0) return "unknown wire payload flags";
-  const bool keyframe = (flags & kFlagKeyframe) != 0;
-  if (keyframe && get_u32(data + 1) != 0)
-    return "keyframe with nonzero reference crc";
-  const std::uint8_t* body = data + kStatefulHeaderBytes;
-  const std::size_t body_size = size - kStatefulHeaderBytes;
-  if (format_tag == kWireFormatTopK)
-    return validate_topk_body(body, body_size, keyframe);
+  if (std::string error = validate_stateful_frame(format_tag, data, size);
+      !error.empty() || format_tag == kWireFormatTopK)
+    return error;
   try {
-    (void)base_codec(format_tag)->decode(
-        std::vector<std::uint8_t>(body, body + body_size));
+    (void)base_codec(format_tag)->decode(std::vector<std::uint8_t>(
+        data + kStatefulHeaderBytes, data + size));
   } catch (const std::exception& error) {
     return error.what();
   }
@@ -261,9 +271,20 @@ std::vector<float> WireChannel::decode(std::uint8_t format_tag,
     return base_codec(format_tag)->decode(
         std::vector<std::uint8_t>(data, data + size));
   if (const std::string error =
-          validate_stateful_payload(format_tag, data, size);
+          validate_stateful_frame(format_tag, data, size);
       !error.empty())
     throw std::runtime_error("wire payload: " + error);
+  const std::uint8_t* body = data + kStatefulHeaderBytes;
+  const std::size_t body_size = size - kStatefulHeaderBytes;
+  std::vector<float> diff;  // a delta body, decoded once
+  if (format_tag != kWireFormatTopK) {
+    try {
+      diff = base_codec(format_tag)->decode(
+          std::vector<std::uint8_t>(body, body + body_size));
+    } catch (const std::exception& error) {
+      throw std::runtime_error(std::string("wire payload: ") + error.what());
+    }
+  }
   const bool keyframe = (data[0] & kFlagKeyframe) != 0;
   if (!keyframe) {
     if (!have_reference_)
@@ -273,8 +294,6 @@ std::vector<float> WireChannel::decode(std::uint8_t format_tag,
       throw std::runtime_error(
           "wire stream desynchronized (reference crc mismatch)");
   }
-  const std::uint8_t* body = data + kStatefulHeaderBytes;
-  const std::size_t body_size = size - kStatefulHeaderBytes;
 
   std::vector<float> decoded;
   if (format_tag == kWireFormatTopK) {
@@ -296,20 +315,15 @@ std::vector<float> WireChannel::decode(std::uint8_t format_tag,
       ++next_value;
     }
     FEDMS_ASSERT(next_value == k);
+  } else if (keyframe) {
+    decoded = std::move(diff);
   } else {
-    const std::vector<float> diff =
-        base_codec(format_tag)->decode(
-            std::vector<std::uint8_t>(body, body + body_size));
-    if (keyframe) {
-      decoded = diff;
-    } else {
-      if (diff.size() != reference_.size())
-        throw std::runtime_error(
-            "wire stream: delta dimension does not match reference");
-      decoded.resize(diff.size());
-      for (std::size_t i = 0; i < diff.size(); ++i)
-        decoded[i] = reference_[i] + diff[i];
-    }
+    if (diff.size() != reference_.size())
+      throw std::runtime_error(
+          "wire stream: delta dimension does not match reference");
+    decoded.resize(diff.size());
+    for (std::size_t i = 0; i < diff.size(); ++i)
+      decoded[i] = reference_[i] + diff[i];
   }
   reference_ = decoded;
   have_reference_ = true;

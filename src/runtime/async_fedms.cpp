@@ -93,9 +93,7 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
   // so the same seed puts the same PSs under attack in both runtimes.
   const std::vector<float> w0 = learners_.front()->parameters();
   FEDMS_EXPECTS(w0.size() == learners_.front()->dimension());
-  servers_ = fl::make_servers(config_, w0);
-  broadcasters_.assign(config_.servers,
-                       fl::BroadcastEncoder(/*keep_wire_bytes=*/false));
+  servers_ = fl::make_servers(config_, w0, /*keep_wire_bytes=*/false);
   client_rounds_.reserve(config_.clients);
   for (std::size_t k = 0; k < config_.clients; ++k)
     client_rounds_.emplace_back(rules_, k, *learners_[k]);
@@ -103,8 +101,6 @@ AsyncFedMsRun::AsyncFedMsRun(fl::FedMsConfig config, RuntimeOptions options,
   for (ClientState& client : clients_) client.last_feasible = w0;
   round_losses_.assign(config_.clients, 0.0);
   client_active_.assign(config_.clients, 1);
-  ps_was_crashed_.assign(config_.servers, 0);
-  ps_snapshots_.resize(config_.servers);
 }
 
 void AsyncFedMsRun::trace(std::uint64_t round, const std::string& event,
@@ -190,14 +186,12 @@ void AsyncFedMsRun::client_filter_deadline(std::size_t k,
     request.round = round;
     ++record_->retry_requests;
     send(std::move(request), round, [this, round, k, s](net::Message) {
-      ServerState& state = server_states_[s];
-      if (state.crashed || !state.aggregated) {
+      if (servers_[s].crashed() || !aggregated_[s]) {
         trace_node(round, "retry-unanswered", net::server_id(s));
         return;
       }
       // Byzantine PSs tamper retries too (fresh attack randomness).
-      net::Message response =
-          broadcasters_[s].broadcast(servers_[s], round, k, rules_.wire);
+      net::Message response = servers_[s].broadcast(round, k, rules_.wire);
       if (response.payload.empty()) return;  // crash-attack PS stays silent
       send(std::move(response), round, [this, round, k, s](net::Message m) {
         ClientState& c = clients_[k];
@@ -267,24 +261,17 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
     clients_[k].retries_used = 0;
     clients_[k].done = false;
   }
-  server_states_.assign(config_.servers, ServerState{});
+  aggregated_.assign(config_.servers, 0);
   for (std::size_t s = 0; s < config_.servers; ++s) {
     const bool crashed = faults_.server_crashed(s, round);
-    server_states_[s].crashed = crashed;
     if (crashed) ++record.crashed_servers;
-    // Crash/recovery state handoff: going down snapshots the PS and wipes
-    // its live state back to w₀ (what a fresh replacement would hold);
-    // coming back restores the snapshot verbatim — uploads it aggregated
-    // before crashing are neither lost nor double-counted.
-    if (crashed && !ps_was_crashed_[s]) {
-      ps_snapshots_[s] = servers_[s].snapshot();
-      servers_[s].reset_state();
-    } else if (!crashed && ps_was_crashed_[s]) {
-      servers_[s].restore(ps_snapshots_[s]);
-      ps_snapshots_[s] = fl::ParameterServer::Snapshot{};
+    // Crash/recovery state handoff (fl::ParameterServer::crash/recover).
+    if (crashed && !servers_[s].crashed()) {
+      servers_[s].crash();
+    } else if (!crashed && servers_[s].crashed()) {
+      servers_[s].recover();
       trace_node(round, "recovered", net::server_id(s));
     }
-    ps_was_crashed_[s] = crashed ? 1 : 0;
   }
   // Membership for this round; inactive clients neither train nor filter.
   active_count_ = 0;
@@ -338,15 +325,14 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
       for (net::Message& m : outbox_) {
         const std::size_t s = m.to.index;
         send(std::move(m), round, [this, round, k, s](net::Message msg) {
-          ServerState& state = server_states_[s];
-          if (state.crashed) return;  // wasted upload
-          if (state.aggregated) {
+          if (servers_[s].crashed()) return;  // wasted upload
+          if (aggregated_[s]) {
             ++record_->messages_late;
             trace(round, "late-upload", net::client_id(k),
                   net::server_id(s));
             return;
           }
-          if (!state.received.emplace(k, std::move(msg.payload)).second)
+          if (!servers_[s].receive(std::move(msg)))
             ++record_->messages_duplicated;
         });
       }
@@ -362,27 +348,21 @@ void AsyncFedMsRun::execute_round(std::uint64_t round,
   // window and disseminate to every client.
   for (std::size_t s = 0; s < config_.servers; ++s) {
     queue_.schedule_at(t_aggregate, [this, s, round] {
-      ServerState& state = server_states_[s];
-      if (state.crashed) {
+      if (servers_[s].crashed()) {
         trace_node(round, "crashed", net::server_id(s));
         return;
       }
       {
         obs::Span span("async", "aggregation", round, "server",
                        static_cast<std::int64_t>(s));
-        std::vector<fl::ModelVector> received;
-        received.reserve(state.received.size());
-        for (auto& [client, model] : state.received)
-          received.push_back(std::move(model));
-        servers_[s].aggregate_round(round, received);
-        state.aggregated = true;
+        servers_[s].aggregate_round(round);
+        aggregated_[s] = 1;
       }
       obs::Span span("async", "dissemination", round, "server",
                      static_cast<std::int64_t>(s));
       for (std::size_t k = 0; k < config_.clients; ++k) {
         if (!client_active_[k]) continue;  // absent clients get nothing
-        net::Message m =
-            broadcasters_[s].broadcast(servers_[s], round, k, rules_.wire);
+        net::Message m = servers_[s].broadcast(round, k, rules_.wire);
         if (m.payload.empty()) continue;  // crash-attack PS stays silent
         send(std::move(m), round, [this, round, k, s](net::Message msg) {
           ClientState& client = clients_[k];

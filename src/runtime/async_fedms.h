@@ -28,18 +28,19 @@
 // hash in the result is the regression handle for that property.
 //
 // The client step (training, upload pipeline, candidate bookkeeping,
-// Def()) is fl::ClientRound, shared with the other engines; this runtime
-// only schedules it; broadcasts and retry responses go through
-// fl::BroadcastEncoder, so the stateless fp16/int8 wire encodings run here
-// as in the other engines. Rejected at construction: partial
-// participation, the stateful delta/top-k encodings (in-flight drops and
-// retries would desync their reference chains, which have no keyframe
-// recovery), and `network_loss_rate` (subsumed by FaultPlan::drop_rate).
+// Def()) is fl::ClientRound and the server step (uploads in ascending
+// client order, aggregation, per-recipient broadcasts and retry responses,
+// crash/recovery handoff) is fl::ParameterServer, both shared with the
+// other engines; this runtime only schedules them, so the stateless
+// fp16/int8 wire encodings run here as in the other engines. Rejected at
+// construction: partial participation, the stateful delta/top-k encodings
+// (in-flight drops and retries would desync their reference chains, which
+// have no keyframe recovery), and `network_loss_rate` (subsumed by
+// FaultPlan::drop_rate).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -186,11 +187,6 @@ class AsyncFedMsRun {
     bool done = false;
     std::vector<float> last_feasible;  // w0 until a filter succeeds
   };
-  struct ServerState {
-    std::map<std::size_t, fl::ModelVector> received;  // keyed by client
-    bool aggregated = false;
-    bool crashed = false;
-  };
 
   void execute_round(std::uint64_t round, AsyncRunResult& result);
   // Routes one message through the fault injector + latency model and
@@ -212,7 +208,6 @@ class AsyncFedMsRun {
   std::vector<fl::ClientRound> client_rounds_;
   std::vector<net::Message> outbox_;  // one client's uploads, reused
   std::vector<fl::ParameterServer> servers_;
-  std::vector<fl::BroadcastEncoder> broadcasters_;  // one per server
   std::size_t quorum_ = 1;
   net::LatencyModel latency_;
   EventQueue queue_;
@@ -222,14 +217,9 @@ class AsyncFedMsRun {
   RoundCallback round_callback_;
   RoundStartHook round_start_hook_;
 
-  // Crash/recovery handoff: the state a PS held when it went down, put
-  // back verbatim when a ServerRecovery brings it up again.
-  std::vector<char> ps_was_crashed_;
-  std::vector<fl::ParameterServer::Snapshot> ps_snapshots_;
-
   // Per-round working state.
   std::vector<ClientState> clients_;
-  std::vector<ServerState> server_states_;
+  std::vector<char> aggregated_;  // per PS: aggregated this round
   std::vector<char> client_active_;  // membership at the current round
   std::size_t active_count_ = 0;
   std::vector<double> round_losses_;

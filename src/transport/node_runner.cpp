@@ -288,17 +288,8 @@ NodeReport run_server_node(Transport& transport,
 
   // This PS's identity and streams, exactly as every other engine builds
   // them (byz-placement is consumed identically in every process).
-  fl::ParameterServer server =
-      fl::make_server(fed, p, fl::initial_model(workload, fed));
-
-  // Upload decode is self-describing per frame; one stream per client so
-  // stateful references track each sender. Broadcast encode uses whatever
-  // encoding each client's hello announced (queried per round — by the
-  // dissemination stage every client has identified itself).
-  fl::WireEncodingSpec wire_spec;
-  FEDMS_EXPECTS(fl::parse_wire_encoding(fed.wire_encoding, &wire_spec).empty());
-  fl::WireChannelBook upload_channels(wire_spec);  // keyed by client
-  fl::BroadcastEncoder broadcaster(/*keep_wire_bytes=*/true);
+  fl::ParameterServer server = fl::make_server(
+      fed, p, fl::initial_model(workload, fed), /*keep_wire_bytes=*/true);
 
   obs::set_thread_label("server" + std::to_string(p));
 
@@ -311,21 +302,10 @@ NodeReport run_server_node(Transport& transport,
     {
       obs::Span span("node", "aggregation", round, "server",
                      static_cast<std::int64_t>(p));
-      std::map<std::size_t, fl::ModelVector> uploads;
       collect_round(transport, round, fed.clients,
                     net::MessageKind::kModelUpload, timeout_seconds,
-                    [&](net::Message m) {
-                      fl::finish_wire_payload(m, upload_channels);
-                      uploads.emplace(m.from.index, std::move(m.payload));
-                    });
-
-      // Mean in ascending client order — float sums are order-dependent
-      // and this is the simulator's inbox order.
-      std::vector<fl::ModelVector> received;
-      received.reserve(uploads.size());
-      for (auto& [client, model] : uploads)
-        received.push_back(std::move(model));
-      server.aggregate_round(round, received);
+                    [&](net::Message m) { server.receive(std::move(m)); });
+      server.aggregate_round(round);
     }
 
     // ---- Dissemination stage. disseminate() is called for every client
@@ -335,13 +315,14 @@ NodeReport run_server_node(Transport& transport,
                    static_cast<std::int64_t>(p));
     for (std::size_t k = 0; k < fed.clients; ++k) {
       // Each client's broadcasts go out in the encoding its hello asked
-      // for; an unintelligible announce gets f32.
+      // for (queried per round — by the dissemination stage every client
+      // has identified itself); an unintelligible announce gets f32.
       fl::WireEncodingSpec spec;
       if (!fl::parse_wire_encoding(
                transport.peer_encoding(net::client_id(k)), &spec)
                .empty())
         spec = fl::WireEncodingSpec{};
-      net::Message m = broadcaster.broadcast(server, round, k, spec);
+      net::Message m = server.broadcast(round, k, spec);
       // Empty payload = crashed/silent PS: nothing goes on the wire (the
       // client's wire stream does not advance either — keyframes are
       // per-frame flags, so a gap desynchronizes nothing).

@@ -8,10 +8,9 @@
 // "client-sampler"/k, ...). A node process therefore re-derives exactly
 // its own streams and nothing else. The remaining ordering hazards are
 // pinned explicitly:
-//   * PS aggregation input order — the simulator drains its inbox in
-//     network send order, which is ascending client index; the engine
-//     keys received uploads by client index and feeds them in ascending
-//     order (float sums are order-dependent).
+//   * PS aggregation input order — fl::ParameterServer holds received
+//     uploads keyed by client and aggregates them in ascending client
+//     order in every engine (float sums are order-dependent).
 //   * Client filter candidate order — ascending server index, matching
 //     the simulator's broadcast send order.
 //   * Evaluation — NnLearner::evaluate() is deterministic (no RNG), so

@@ -8,6 +8,7 @@
 
 #include "core/rng.h"
 #include "fl/client_round.h"
+#include "transport/frame.h"
 #include "transport/transport.h"
 
 namespace fedms::fl {
@@ -296,6 +297,53 @@ TEST(ValidateStatefulPayload, RejectsCorruptMetadataWithOneLineErrors) {
   expect_reject(kWireFormatDeltaInt8, delta_frame);
 }
 
+// A delta frame whose body is truncated or garbled — its header and CRC
+// intact — is rejected by the frame codec's structural gate and by the
+// receiving stream's one decode, which must leave the reference where it
+// was.
+TEST(WireChannel, CorruptDeltaBodyIsRejectedByFrameAndStream) {
+  for (const char* text : {"delta+fp16", "delta+int8"}) {
+    SCOPED_TRACE(text);
+    const WireEncodingSpec spec = spec_of(text);
+    const std::uint8_t tag = spec.format_tag();
+    WireChannel sender(spec);
+    WireChannel receiver(spec);
+    std::vector<float> values = random_values(100, 11);
+    (void)receiver.decode(tag, sender.encode(values).bytes);  // keyframe
+    for (float& v : values) v += 0.5f;
+    const WireEncodeResult good = sender.encode(values);  // non-keyframe
+
+    std::vector<std::uint8_t> truncated = good.bytes;
+    truncated.pop_back();
+    std::vector<std::uint8_t> garbled = good.bytes;
+    garbled[5] ^= 0x01;  // the base codec's coordinate count
+    for (const std::vector<std::uint8_t>& bad : {truncated, garbled}) {
+      net::Message m;
+      m.from = net::client_id(0);
+      m.to = net::server_id(0);
+      m.payload = good.decoded;
+      m.encoded = bad;
+      m.encoded_bytes = bad.size();
+      m.wire_format = tag;
+      const transport::FrameCodec codec;
+      EXPECT_EQ(codec.decode(codec.encode(m)).error,
+                transport::FrameError::kBadPayload);
+
+      try {
+        (void)receiver.decode(tag, bad);
+        ADD_FAILURE() << "corrupt body decoded";
+      } catch (const std::runtime_error& error) {
+        const std::string what = error.what();
+        EXPECT_EQ(what.rfind("wire payload: ", 0), 0u) << what;
+        EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+      }
+    }
+    // The reference did not move: the intact frame still decodes, to
+    // exactly what the sender carried forward.
+    EXPECT_TRUE(bitwise_equal(receiver.decode(tag, good.bytes), good.decoded));
+  }
+}
+
 // ---- mixed-encoding rounds over the in-memory hub ----
 
 TEST(MixedEncodingFleet, ServerHonorsEachPeersAnnouncedEncoding) {
@@ -314,13 +362,13 @@ TEST(MixedEncodingFleet, ServerHonorsEachPeersAnnouncedEncoding) {
   const std::vector<float> model = random_values(64, 10);
   ParameterServer ps(0, nullptr, core::Rng(10));
   ps.set_initial_model(model);
-  BroadcastEncoder broadcaster(/*keep_wire_bytes=*/true);
+  ps.set_keep_wire_bytes(true);
   for (std::size_t k = 0; k < 3; ++k) {
     WireEncodingSpec spec;
     ASSERT_EQ(parse_wire_encoding(server->peer_encoding(net::client_id(k)),
                                   &spec),
               "");
-    server->send(broadcaster.broadcast(ps, /*round=*/0, k, spec));
+    server->send(ps.broadcast(/*round=*/0, k, spec));
   }
 
   const auto take = [](transport::Transport& endpoint) {

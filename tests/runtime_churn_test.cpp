@@ -229,31 +229,51 @@ TEST(ChurnStreams, ChurnEventOrderIsIrrelevantToTheTrace) {
 // ---- PS crash/recovery handoff ----
 
 TEST(PsHandoff, SnapshotRestoreIsBitForBit) {
-  fl::ParameterServer ps(0, byz::make_attack("noise"), core::Rng(7));
-  ps.set_initial_model({0.0f, 0.0f, 0.0f});
-  ps.aggregate_round(0, {{1.0f, 2.0f, 3.0f}, {3.0f, 2.0f, 1.0f}});
-  ps.aggregate_round(1, {{4.0f, 4.0f, 4.0f}});
+  const auto make_ps = [] {
+    fl::ParameterServer ps(0, byz::make_attack("noise"), core::Rng(7));
+    ps.set_initial_model({0.0f, 0.0f, 0.0f});
+    ps.aggregate_round(0, {{1.0f, 2.0f, 3.0f}, {3.0f, 2.0f, 1.0f}});
+    ps.aggregate_round(1, {{4.0f, 4.0f, 4.0f}});
+    return ps;
+  };
+  // The next dissemination consumes attack randomness; capture it on a
+  // twin that never crashes, then prove the recovered PS replays it
+  // bit-for-bit (state + RNG round-trip).
+  fl::ParameterServer twin = make_ps();
+  const std::vector<float> payload = twin.disseminate(2, 0);
 
-  const fl::ParameterServer::Snapshot snap = ps.snapshot();
+  fl::ParameterServer ps = make_ps();
+  const std::vector<std::vector<float>> history = ps.history();
   const std::uint32_t aggregate_crc =
       transport::crc32c_floats(ps.honest_aggregate());
-  // The next dissemination consumes attack randomness; capture it, then
-  // prove the restored PS replays it bit-for-bit (state + RNG round-trip).
-  const std::vector<float> payload = ps.disseminate(2, 0);
+  net::Message held;
+  held.from = net::client_id(3);
+  held.to = net::server_id(0);
+  held.payload = {9.0f, 9.0f, 9.0f};
+  ASSERT_TRUE(ps.receive(std::move(held)));
 
-  ps.reset_state();
+  ps.crash();
+  EXPECT_TRUE(ps.crashed());
   EXPECT_EQ(ps.honest_aggregate(), std::vector<float>({0.0f, 0.0f, 0.0f}));
   EXPECT_TRUE(ps.history().empty());
   EXPECT_EQ(ps.last_upload_count(), 0u);
+  // Draws a crashed PS makes do not leak past its recovery.
+  (void)ps.disseminate(2, 0);
 
-  ps.restore(snap);
+  ps.recover();
+  EXPECT_FALSE(ps.crashed());
   EXPECT_EQ(transport::crc32c_floats(ps.honest_aggregate()), aggregate_crc);
-  EXPECT_EQ(ps.history(), snap.history);
+  EXPECT_EQ(ps.history(), history);
   EXPECT_EQ(ps.last_upload_count(), 1u);
   const std::vector<float> replayed = ps.disseminate(2, 0);
   ASSERT_EQ(replayed.size(), payload.size());
   EXPECT_EQ(transport::crc32c_floats(replayed),
             transport::crc32c_floats(payload));
+
+  // The upload held at the crash was discarded with the live state.
+  ps.aggregate_round(2);
+  EXPECT_EQ(ps.last_upload_count(), 0u);
+  EXPECT_EQ(transport::crc32c_floats(ps.honest_aggregate()), aggregate_crc);
 }
 
 TEST(PsHandoff, RecoveredServerRejoinsWithoutDoubleCountingUploads) {
